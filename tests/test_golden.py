@@ -1,0 +1,58 @@
+"""Golden outputs: SHA-256 digests of run traces and probe CSVs.
+
+The digests pin the exact bytes the CLI writes, so a refactor of the
+force path or the step that changes any number, even in the last bit,
+fails here. They were taken with float64 numpy arithmetic on x86-64
+Linux; regenerate them only in a change that is meant to alter results.
+"""
+
+import hashlib
+
+import pytest
+
+from gravopt.cli import main as cli_main
+
+RUN_ARGS = ["--pop", "10", "--dims", "4", "--iters", "50", "--seed", "2024"]
+
+RUN_DIGESTS = {
+    ("original", "stochastic", "sphere"): "5a99c197cab41f4d77917cc2915dffa00292a3c587e54ca8089ebcd5e7c3b75d",
+    ("original", "stochastic", "rastrigin"): "a78bbfa9a40904c0b67ab2d4c1eb4ec85bc7e84c000074fcad27546acf652932",
+    ("original", "deterministic", "sphere"): "8dcbe26345dd257fead4e58a56a0362959e6c17868a3118f9d525715487434a1",
+    ("original", "deterministic", "rastrigin"): "ba5da0d9ed25ef238a047d90ccbe44d34c7d62d655abdfcc1004ccad439fff28",
+    ("linear", "stochastic", "sphere"): "b8b5b4bd18323d602d40749025fbb51bcff8c25bbd80f186683a52386cf867a0",
+    ("linear", "stochastic", "rastrigin"): "cbe5eb63da82f9fc0de837b2bfb8682407fbf2ea05fcfa25fecf8d9d8270996d",
+    ("linear", "deterministic", "sphere"): "f7769658709956ff71640065a7f3013c9dffe8547769e6865f6ccf4bbf8e831e",
+    ("linear", "deterministic", "rastrigin"): "d05f69c7225e38a4853c3a7829d4d2744df461aa90e78bbb5f7d6783fdf0c03f",
+    ("square", "stochastic", "sphere"): "749327a58e01a0237181f750de57f1b19493606a179bccfaff19b5508e02004f",
+    ("square", "stochastic", "rastrigin"): "59206df969cf9dcc993a7bcf6324046f6ee48f2b75fe7da8c090677e54af00b5",
+    ("square", "deterministic", "sphere"): "017f7438d2fb6d1fd9250186ae53abcf3e9b97c04b1963ba9044597392737a0b",
+    ("square", "deterministic", "rastrigin"): "6c5421ad0940a15beb3a937b97f49116fb2cde7753737d64a3f7a47fbde94835",
+}
+
+PROBE_DIGESTS = {
+    "original": "1fb084aba451ccaa513ebdfd9fbb9e6f3e7b8cef9578be1fb573e394d5b59212",
+    "linear": "dd0e5413890ef5105500a47b7c59e7e63bd9fff4cbf2a347a265360bc7eff7b6",
+    "square": "9e8194614c9c5cc4e817b08a82904f180c3dbb02ae015a88f02b8e1c3de8fe85",
+}
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kernel, weights, function", sorted(RUN_DIGESTS))
+def test_run_trace_digest(tmp_path, kernel, weights, function):
+    out = tmp_path / "trace.csv"
+    argv = ["run", "--kernel", kernel, "--function", function, *RUN_ARGS,
+            "--trace", str(out)]
+    if weights == "deterministic":
+        argv.append("--deterministic")
+    assert cli_main(argv) == 0
+    assert digest(out) == RUN_DIGESTS[(kernel, weights, function)]
+
+
+@pytest.mark.parametrize("kernel", sorted(PROBE_DIGESTS))
+def test_probe_digest(tmp_path, kernel):
+    out = tmp_path / "probe.csv"
+    assert cli_main(["probe", "--kernel", kernel, "--epsilon", "0", "--out", str(out)]) == 0
+    assert digest(out) == PROBE_DIGESTS[kernel]
