@@ -3,13 +3,12 @@
 The force law between two agents is selectable: the classic GSA rule
 (whose magnitude does not depend on inter-agent distance), the corrected
 inverse-linear and inverse-square laws, or any nonnegative power law.
-``probe_exponent`` measures a kernel's effective distance exponent
+``forces`` evaluates it for a whole swarm; ``probe_exponent`` measures a kernel's effective distance exponent
 empirically; the experiments module runs seeded comparison grids.
 """
 
 from .core import (
     DEFAULT_EPSILON,
-    AgentState,
     ConfigError,
     GsaConfig,
     KernelSpec,
@@ -28,7 +27,6 @@ from .engine import (
     kbest_size,
     run,
     step,
-    total_force,
 )
 from .experiments import (
     ExperimentPlan,
@@ -43,9 +41,7 @@ from .experiments import (
 from .kernels import (
     DEFAULT_PROBE_DISTANCES,
     ForceOverflowError,
-    distance,
-    force_magnitude,
-    pairwise_force,
+    forces,
     probe_exponent,
 )
 from .objectives import ObjectiveSpec, evaluate, make_objective, objective_names
@@ -53,7 +49,6 @@ from .objectives import ObjectiveSpec, evaluate, make_objective, objective_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "ConfigError",
     "DEFAULT_EPSILON",
     "DEFAULT_PROBE_DISTANCES",
@@ -74,21 +69,18 @@ __all__ = [
     "WinCount",
     "compute_masses",
     "derive_seed",
-    "distance",
     "evaluate",
-    "force_magnitude",
+    "forces",
     "g_schedule",
     "initialize",
     "kbest_size",
     "make_objective",
     "objective_names",
-    "pairwise_force",
     "probe_exponent",
     "run",
     "run_grid",
     "step",
     "summarize",
-    "total_force",
     "validate_config",
     "__version__",
 ]

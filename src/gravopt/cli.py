@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DEFAULT_EPSILON, ConfigError, GsaConfig, KernelSpec, validate_config
-from .engine import (
-    DivergenceError,
-    EvaluationError,
-    _batch_forces,
-    make_rng,
-    run,
-)
+from .engine import DivergenceError, EvaluationError, make_rng, run
 from .experiments import (
     ExperimentPlan,
     format_float,
@@ -40,7 +34,7 @@ from .experiments import (
     write_summary_csv,
     write_trace_csv,
 )
-from .kernels import DEFAULT_PROBE_DISTANCES, ForceOverflowError, probe_exponent
+from .kernels import DEFAULT_PROBE_DISTANCES, ForceOverflowError, forces, probe_exponent
 from .objectives import make_objective, objective_names
 
 EXIT_OK = 0
@@ -370,27 +364,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    settings = _merged_settings(args)
-    kernel = parse_kernel(settings["kernel"], float(settings["epsilon"]))
-    n = int(settings["population"])
-    dims = int(settings["dims"])
-    rng = make_rng(int(settings["seed"]))
+    config = _build_config(_merged_settings(args))
+    n, dims = config.population, config.dims
+    rng = make_rng(config.seed)
     positions = rng.uniform(-100.0, 100.0, (n, dims))
     masses = rng.random(n)
     masses /= masses.sum()
     kbest = np.arange(n)
     weights = np.ones((n, n))
-    _batch_forces(positions, masses, 100.0, kernel, kbest, weights)  # warm-up
+    forces(positions, masses, 100.0, config.kernel, kbest, weights)  # warm-up
     evaluations = 0
     started = time.perf_counter()
     while True:
-        _batch_forces(positions, masses, 100.0, kernel, kbest, weights)
+        forces(positions, masses, 100.0, config.kernel, kbest, weights)
         evaluations += 1
         elapsed = time.perf_counter() - started
         if elapsed >= 0.2:
             break
     pairs_per_second = evaluations * n * (n - 1) / elapsed
-    print(f"kernel={kernel.name} pairs_per_second={pairs_per_second:.6g}")
+    print(f"kernel={config.kernel.name} pairs_per_second={pairs_per_second:.6g}")
     return EXIT_OK
 
 

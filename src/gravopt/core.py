@@ -1,4 +1,4 @@
-"""Shared value types: agents, kernel selectors, run configuration, traces.
+"""Shared value types: kernel selectors, run configuration, traces.
 
 All types here are plain values, immutable after construction. Vector
 fields are stored as read-only float64 numpy arrays. Construction rejects
@@ -39,40 +39,6 @@ def _finite_scalar(value, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """One point-mass agent: a candidate solution plus its dynamics.
-
-    position encodes the candidate solution, fitness its objective value,
-    and mass the dimensionless quality weight used by the force law.
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    fitness: float
-    mass: float
-
-    def __post_init__(self):
-        position = _readonly_vector(self.position, "position")
-        velocity = _readonly_vector(self.velocity, "velocity")
-        if position.size != velocity.size:
-            raise ValueError(
-                f"position and velocity must have equal length "
-                f"({position.size} != {velocity.size})"
-            )
-        mass = _finite_scalar(self.mass, "mass")
-        if mass < 0.0:
-            raise ValueError(f"mass must be >= 0, got {mass}")
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "velocity", velocity)
-        object.__setattr__(self, "fitness", _finite_scalar(self.fitness, "fitness"))
-        object.__setattr__(self, "mass", mass)
-
-    @property
-    def dims(self) -> int:
-        return self.position.size
 
 
 @dataclass(frozen=True)

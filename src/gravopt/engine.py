@@ -16,6 +16,10 @@ consumed in a fixed order so traces are bit-identical across machines:
 With ``deterministic_weights`` set, no draws are consumed inside steps
 and every weight and velocity coefficient is exactly 1, which makes
 single-step oracle comparisons exact.
+
+Forces come from ``kernels.forces``, the one function that evaluates
+the force law: ``step`` calls it once per iteration with the Kbest
+members and the drawn weight matrix.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AgentState, GsaConfig, KernelSpec, RunTrace, TraceRecord, validate_config
-from .kernels import ForceOverflowError, _raw_force
+from .core import GsaConfig, RunTrace, TraceRecord, validate_config
+from .kernels import forces
 
 #: Softening added to the acceleration denominator; the worst agent's
 #: mass is exactly zero under min-max scaling, so a = F / m needs it.
@@ -78,19 +82,6 @@ class SwarmState:
     @property
     def dims(self) -> int:
         return self.positions.shape[1]
-
-    @property
-    def agents(self) -> tuple[AgentState, ...]:
-        """The swarm as individual agent values (copies, for inspection)."""
-        return tuple(
-            AgentState(
-                position=self.positions[i].copy(),
-                velocity=self.velocities[i].copy(),
-                fitness=float(self.fitnesses[i]),
-                mass=float(self.masses[i]),
-            )
-            for i in range(self.population)
-        )
 
 
 def compute_masses(fitnesses: Sequence[float]) -> np.ndarray:
@@ -187,83 +178,6 @@ def initialize(config: GsaConfig, objective: Objective) -> SwarmState:
     )
 
 
-def total_force(
-    i: int,
-    state: SwarmState,
-    kernel: KernelSpec,
-    config: GsaConfig,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Aggregate force on agent i from the current Kbest set.
-
-    F_i = sum over Kbest members j != i of w_j * f_ij, with f_ij the
-    pairwise kernel force at the state's current G. Weights are 1 when
-    the config is deterministic; otherwise they are either supplied
-    (aligned with the Kbest members in ascending j order) or drawn from
-    the state's generator in that same order.
-    """
-    n = state.population
-    if not 0 <= i < n:
-        raise ValueError(f"agent index {i} out of range [0, {n})")
-    k = kbest_size(
-        state.iteration, config.max_iters, n, config.kbest_initial_fraction
-    )
-    members = np.sort(kbest_indices(state.fitnesses, k))
-    others = members[members != i]
-    if weights is None:
-        if config.deterministic_weights:
-            weights = np.ones(others.size)
-        else:
-            weights = state.rng.random(others.size)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.size != others.size:
-            raise ValueError(
-                f"expected {others.size} weights for agent {i}, got {weights.size}"
-            )
-    force = np.zeros(state.dims)
-    for w, j in zip(weights, others):
-        force += w * _raw_force(
-            kernel.exponent,
-            kernel.epsilon,
-            state.g_current,
-            float(state.masses[i]),
-            float(state.masses[j]),
-            state.positions[i],
-            state.positions[j],
-        )
-    return force
-
-
-def _batch_forces(
-    positions: np.ndarray,
-    masses: np.ndarray,
-    g: float,
-    kernel: KernelSpec,
-    kbest: np.ndarray,
-    weight_matrix: np.ndarray,
-) -> np.ndarray:
-    """All agents' total forces at once; matches total_force per row."""
-    n = positions.shape[0]
-    diff = positions[None, :, :] - positions[:, None, :]  # diff[i, j] = x_j - x_i
-    r = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-    # Same grouping as the pairwise kernel: the mass-product matrix is
-    # exactly symmetric, so pairwise forces cancel exactly in the sum.
-    num = g * (masses[:, None] * masses[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = num / (r ** (kernel.exponent + 1.0) + kernel.epsilon)
-    coeff[r == 0.0] = 0.0
-    coeff[num == 0.0] = 0.0
-    mask = np.zeros((n, n), dtype=bool)
-    mask[:, kbest] = True
-    np.fill_diagonal(mask, False)
-    coeff = np.where(mask, coeff * weight_matrix, 0.0)
-    forces = np.einsum("ij,ijd->id", coeff, diff)
-    if not np.all(np.isfinite(forces)):
-        raise ForceOverflowError("force overflow; increase epsilon")
-    return forces
-
-
 def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmState:
     """Advance the swarm by one iteration; consumes the input state's rng."""
     if state.iteration >= config.max_iters:
@@ -281,11 +195,11 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
             js = sorted_members[sorted_members != i]
             weight_matrix[i, js] = state.rng.random(js.size)
 
-    forces = _batch_forces(
+    total = forces(
         state.positions, state.masses, state.g_current, config.kernel,
         members, weight_matrix,
     )
-    accel = forces / (state.masses + MASS_SOFTENING)[:, None]
+    accel = total / (state.masses + MASS_SOFTENING)[:, None]
 
     if config.deterministic_weights:
         velocities = state.velocities + accel

@@ -1,4 +1,4 @@
-"""Pairwise force kernels and the log-log exponent probe.
+"""The force law, evaluated for a whole swarm, and the log-log exponent probe.
 
 Every kernel in the family computes the force exerted on agent i by
 agent j, per dimension d, as
@@ -16,7 +16,10 @@ G * m_i * m_j / R**q:
 * q = 2 (``square``): denominator R**3, magnitude proportional to 1/R**2,
   i.e. a genuine inverse-square law.
 
-``probe_exponent`` measures the effective distance exponent of any kernel
+``forces`` is the one function that evaluates this law: it sums the
+weighted pairwise forces from the Kbest set on every agent at once, as
+the GSA update does. The engine's step and ``probe_exponent`` both call
+it. ``probe_exponent`` measures a kernel's effective distance exponent
 empirically by fitting log magnitude against log distance.
 """
 
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AgentState, KernelSpec, ProbeReport
+from .core import KernelSpec, ProbeReport
 
 #: 25 logarithmically spaced probe distances spanning nine decades.
 DEFAULT_PROBE_DISTANCES: tuple[float, ...] = tuple(np.geomspace(1e-3, 1e6, 25))
@@ -37,80 +40,42 @@ class ForceOverflowError(ArithmeticError):
     """A force evaluation produced a non-finite component."""
 
 
-def distance(x_i, x_j) -> float:
-    """Euclidean distance between two positions of equal length."""
-    a = np.asarray(x_i, dtype=float)
-    b = np.asarray(x_j, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"positions must be 1-D and equal length, got {a.shape} and {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("positions must be finite")
-    delta = b - a
-    return math.sqrt(float(np.dot(delta, delta)))
-
-
-def _raw_force(
-    exponent: float,
-    epsilon: float,
+def forces(
+    positions: np.ndarray,
+    masses: np.ndarray,
     g: float,
-    m_i: float,
-    m_j: float,
-    x_i: np.ndarray,
-    x_j: np.ndarray,
+    kernel: KernelSpec,
+    kbest: np.ndarray,
+    weights: np.ndarray,
 ) -> np.ndarray:
-    """Force on i from j, on raw arrays. Callers validate their inputs."""
-    delta = x_j - x_i
-    r = math.sqrt(float(np.dot(delta, delta)))
-    # Grouping the mass product keeps the coefficient bit-identical under
-    # argument swap, which makes antisymmetry exact rather than approximate.
-    num = g * (m_i * m_j)
-    if r == 0.0 or num == 0.0:
-        # Coincident agents exert no force on each other; a zero mass
-        # annihilates the pair product before any division can misbehave.
-        return np.zeros_like(delta)
-    denominator = r ** (exponent + 1.0) + epsilon
-    if denominator == 0.0:
+    """Total force on every agent from the Kbest agents, shape (n, d).
+
+    Row i is the sum over j in ``kbest``, j != i, of weights[i, j] times
+    the kernel force on agent i from agent j. ``positions`` is (n, d),
+    ``masses`` (n,), ``weights`` (n, n). Coincident agents and zero-mass
+    pairs exert no force on each other; the pairwise terms are exactly
+    antisymmetric and always point from i toward j. Callers validate
+    their inputs.
+    """
+    n = positions.shape[0]
+    diff = positions[None, :, :] - positions[:, None, :]  # diff[i, j] = x_j - x_i
+    r = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
+    # Grouping the mass product makes the matrix exactly symmetric, so
+    # pairwise forces are exactly antisymmetric and cancel in the sum.
+    num = g * (masses[:, None] * masses[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff = num / (r ** (kernel.exponent + 1.0) + kernel.epsilon)
+    coeff[r == 0.0] = 0.0
+    coeff[num == 0.0] = 0.0
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:, kbest] = True
+    np.fill_diagonal(mask, False)
+    coeff = np.where(mask, coeff * weights, 0.0)
+    total = np.einsum("ij,ijd->id", coeff, diff)
+    if not np.all(np.isfinite(total)):
         # R below the underflow scale of R**(q+1) with epsilon = 0
         raise ForceOverflowError("force overflow; increase epsilon")
-    force = num / denominator * delta
-    if not np.all(np.isfinite(force)):
-        raise ForceOverflowError("force overflow; increase epsilon")
-    return force
-
-
-def pairwise_force(
-    kernel: KernelSpec, g: float, agent_i: AgentState, agent_j: AgentState
-) -> np.ndarray:
-    """Force vector exerted on agent_i by agent_j under the given kernel.
-
-    Returns an array of agent dimensionality. Antisymmetric in the two
-    agents and always pointing from i toward j. Coincident agents yield
-    the zero vector for every kernel kind and any epsilon.
-    """
-    if agent_i.dims != agent_j.dims:
-        raise ValueError(
-            f"agents have mismatched dimensionality ({agent_i.dims} != {agent_j.dims})"
-        )
-    g = float(g)
-    if not math.isfinite(g) or g <= 0.0:
-        raise ValueError(f"G must be finite and > 0, got {g}")
-    return _raw_force(
-        kernel.exponent,
-        kernel.epsilon,
-        g,
-        agent_i.mass,
-        agent_j.mass,
-        agent_i.position,
-        agent_j.position,
-    )
-
-
-def force_magnitude(
-    kernel: KernelSpec, g: float, agent_i: AgentState, agent_j: AgentState
-) -> float:
-    """Euclidean norm of the pairwise force between two agents."""
-    force = pairwise_force(kernel, g, agent_i, agent_j)
-    return math.sqrt(float(np.dot(force, force)))
+    return total
 
 
 def probe_exponent(
@@ -122,10 +87,11 @@ def probe_exponent(
 ) -> ProbeReport:
     """Empirically fit the kernel's force-magnitude distance exponent.
 
-    Places one agent at the origin and the other at distance r along the
+    Places one agent at the origin and another at distance r along the
     first coordinate axis for every r in r_values (magnitudes are
-    rotation-invariant, so one axis suffices), then fits log magnitude
-    against log distance by ordinary least squares. For an exact power
+    rotation-invariant, so one axis suffices), evaluates the force each
+    of them feels from the origin agent in one ``forces`` call, then fits
+    log magnitude against log distance by ordinary least squares. For an exact power
     law with epsilon = 0 the fitted slope is -q to floating-point noise.
     """
     rs = np.asarray(r_values, dtype=float)
@@ -137,15 +103,19 @@ def probe_exponent(
     m_j = float(m_j)
     if not (m_i > 0.0 and m_j > 0.0 and math.isfinite(m_i) and math.isfinite(m_j)):
         raise ValueError("probe masses must be finite and > 0")
+    g = float(g)
+    if not math.isfinite(g) or g <= 0.0:
+        raise ValueError(f"G must be finite and > 0, got {g}")
 
-    zero = np.zeros(2)
-    origin = AgentState(position=zero, velocity=zero, fitness=0.0, mass=m_i)
-    magnitudes = np.empty(rs.size)
-    for idx, r in enumerate(rs):
-        other = AgentState(
-            position=np.array([r, 0.0]), velocity=zero, fitness=0.0, mass=m_j
-        )
-        magnitudes[idx] = force_magnitude(kernel, g, origin, other)
+    # Agent 0 at the origin is the only force source; agent k sits at
+    # distance rs[k-1] on the first axis and feels the force from it.
+    n = rs.size + 1
+    positions = np.zeros((n, 2))
+    positions[1:, 0] = rs
+    masses = np.full(n, m_j)
+    masses[0] = m_i
+    pulls = forces(positions, masses, g, kernel, np.array([0]), np.ones((n, n)))[1:]
+    magnitudes = np.sqrt(np.einsum("kd,kd->k", pulls, pulls))
     if np.any(magnitudes == 0.0):
         raise ValueError("zero force magnitude encountered during probe")
 

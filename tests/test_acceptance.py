@@ -16,17 +16,13 @@ from gravopt import (
     ExperimentPlan,
     GsaConfig,
     KernelSpec,
-    AgentState,
     compute_masses,
-    force_magnitude,
+    forces,
     initialize,
     make_objective,
-    pairwise_force,
     run_grid,
-    total_force,
 )
 from gravopt.cli import main as cli_main
-from gravopt.engine import SwarmState, make_rng
 from gravopt.experiments import cell_config
 from gravopt.objectives import sphere
 
@@ -47,11 +43,15 @@ def _probe_footer(path) -> dict:
     }
 
 
-def _agent(position, mass):
-    position = np.asarray(position, dtype=float)
-    return AgentState(
-        position=position, velocity=np.zeros_like(position), fitness=0.0, mass=mass
-    )
+def _pair_forces(kernel, g, x_i, x_j, m_i, m_j):
+    """Row 0 is the force on i from j, row 1 the force on j from i."""
+    masses = np.array([m_i, m_j], dtype=float)
+    return forces(np.array([x_i, x_j], dtype=float), masses, g, kernel, np.arange(2), np.ones((2, 2)))
+
+
+def _magnitude(kernel, g, x_i, x_j, m_i, m_j):
+    """Norm of the force on i from j."""
+    return float(np.linalg.norm(_pair_forces(kernel, g, x_i, x_j, m_i, m_j)[0]))
 
 
 @lru_cache(maxsize=1)
@@ -68,7 +68,7 @@ def _random_cases():
         direction /= math.sqrt(float(np.dot(direction, direction)))
         x_i = rng.uniform(-1.0, 1.0, dims)
         g = 10.0 ** rng.uniform(-3.0, 3.0)
-        cases.append((_agent(x_i, m_i), _agent(x_i + r * direction, m_j), g))
+        cases.append((x_i, x_i + r * direction, m_i, m_j, g))
     return cases
 
 
@@ -114,9 +114,9 @@ def test_criterion_3_distance_free_magnitude_closed_form():
     kernel = KernelSpec.original(0.0)
     started = time.perf_counter()
     worst = 0.0
-    for agent_i, agent_j, g in _random_cases():
-        expected = g * (agent_i.mass * agent_j.mass)
-        error = abs(force_magnitude(kernel, g, agent_i, agent_j) - expected)
+    for x_i, x_j, m_i, m_j, g in _random_cases():
+        expected = g * (m_i * m_j)
+        error = abs(_magnitude(kernel, g, x_i, x_j, m_i, m_j) - expected)
         worst = max(worst, error / expected)
         if error > 1e-12 * expected:
             break
@@ -138,11 +138,10 @@ def test_criterion_4_antisymmetry_and_attraction():
     ]
     antisymmetric = True
     attractive = True
-    for agent_i, agent_j, g in _random_cases():
-        delta = agent_j.position - agent_i.position
+    for x_i, x_j, m_i, m_j, g in _random_cases():
+        delta = x_j - x_i
         for kernel in kernels:
-            f_ij = pairwise_force(kernel, g, agent_i, agent_j)
-            f_ji = pairwise_force(kernel, g, agent_j, agent_i)
+            f_ij, f_ji = _pair_forces(kernel, g, x_i, x_j, m_i, m_j)
             if not np.array_equal(f_ij, -f_ji):
                 antisymmetric = False
             if float(np.dot(f_ij, delta)) < 0.0:
@@ -157,16 +156,9 @@ def test_criterion_4_antisymmetry_and_attraction():
 
 
 def test_criterion_5_brute_force_oracle_equivalence():
-    config = GsaConfig(
-        population=10,
-        dims=3,
-        lower_bound=np.full(3, -10.0),
-        upper_bound=np.full(3, 10.0),
-        kernel=KernelSpec.original(),
-        max_iters=100,
-        deterministic_weights=True,
-        seed=0,
-    )
+    kernel = KernelSpec.original()
+    everyone = np.arange(10)
+    unit_weights = np.ones((10, 10))
     rng = np.random.Generator(np.random.PCG64(55))
     started = time.perf_counter()
     worst = 0.0
@@ -174,19 +166,8 @@ def test_criterion_5_brute_force_oracle_equivalence():
         positions = rng.uniform(-10.0, 10.0, (10, 3))
         fitnesses = rng.uniform(0.0, 100.0, 10)
         masses = compute_masses(fitnesses)
-        state = SwarmState(
-            positions=positions,
-            velocities=np.zeros((10, 3)),
-            fitnesses=fitnesses,
-            masses=masses,
-            iteration=0,
-            g_current=float(10.0 ** rng.uniform(-1.0, 2.0)),
-            best_so_far_fitness=float(fitnesses.min()),
-            best_so_far_position=positions[0].copy(),
-            rng=make_rng(0),
-        )
-        for i in range(10):
-            got = total_force(i, state, config.kernel, config)
+        g = float(10.0 ** rng.uniform(-1.0, 2.0))
+        for i, got in enumerate(forces(positions, masses, g, kernel, everyone, unit_weights)):
             expected = np.zeros(3)
             for j in range(10):
                 if j == i:
@@ -195,12 +176,7 @@ def test_criterion_5_brute_force_oracle_equivalence():
                 r = math.sqrt(float(np.sum(delta * delta)))
                 if r == 0.0:
                     continue
-                expected += (
-                    state.g_current
-                    * (masses[i] * masses[j])
-                    / (r + config.kernel.epsilon)
-                    * delta
-                )
+                expected += g * (masses[i] * masses[j]) / (r + kernel.epsilon) * delta
             scale = float(np.max(np.abs(expected)))
             if scale == 0.0:
                 deviation = float(np.max(np.abs(got)))
@@ -210,7 +186,7 @@ def test_criterion_5_brute_force_oracle_equivalence():
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 1.0
     _report(
-        "criterion 5: total_force matches naive double loop within 1e-12 rel",
+        "criterion 5: forces matches naive double loop within 1e-12 rel",
         ok,
         f"worst_rel={worst:.3e} elapsed={elapsed:.2f}s",
     )
@@ -227,22 +203,18 @@ def test_criterion_6_scaling_law():
         m_i = 10.0 ** rng.uniform(-1.0, 1.0)
         m_j = 10.0 ** rng.uniform(-1.0, 1.0)
         base = {
-            q: force_magnitude(
-                KernelSpec.power_law(q, 0.0), 2.0, _agent(x_i, m_i), _agent(x_j, m_j)
-            )
+            q: _magnitude(KernelSpec.power_law(q, 0.0), 2.0, x_i, x_j, m_i, m_j)
             for q in (0.0, 1.0, 2.0)
         }
         for lam in (0.01, 1.0, 100.0):
-            scaled_i, scaled_j = _agent(lam * x_i, m_i), _agent(lam * x_j, m_j)
-            mag0 = force_magnitude(KernelSpec.original(0.0), 2.0, scaled_i, scaled_j)
+            scaled = (lam * x_i, lam * x_j, m_i, m_j)
+            mag0 = _magnitude(KernelSpec.original(0.0), 2.0, *scaled)
             dev0 = abs(mag0 / base[0.0] - 1.0)
             worst_original = max(worst_original, dev0)
             if dev0 > 1e-12:
                 ok = False
             for q in (1.0, 2.0):
-                mag = force_magnitude(
-                    KernelSpec.power_law(q, 0.0), 2.0, scaled_i, scaled_j
-                )
+                mag = _magnitude(KernelSpec.power_law(q, 0.0), 2.0, *scaled)
                 dev = abs(mag / (base[q] * lam ** (-q)) - 1.0)
                 worst_power = max(worst_power, dev)
                 if dev > 1e-9:

@@ -173,6 +173,11 @@ class TestProbeCommand:
         assert cli.main(["probe", "--out", str(out)]) == 0
         assert len(read(out).splitlines()) == 1 + 25 + 1
 
+    @pytest.mark.parametrize("g0", ["0", "-1", "nan", "inf"])
+    def test_bad_g0_rejected(self, g0, capsys):
+        assert cli.main(["probe", "--g0", g0]) == 2
+        assert "G must be finite and > 0" in capsys.readouterr().err
+
     def test_stdout_when_no_out(self, capsys):
         assert cli.main(["probe", "--kernel", "linear", "--epsilon", "0"]) == 0
         out = capsys.readouterr().out
@@ -261,3 +266,11 @@ class TestBenchCommand:
         assert lines[0].startswith("kernel=original pairs_per_second=")
         rate = float(lines[0].split("=")[-1])
         assert rate > 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--pop", "1"], "population >= 2"), (["--dims", "0"], "dims >= 1")],
+    )
+    def test_invalid_size_rejected(self, argv, message, capsys):
+        assert cli.main(["bench", *argv]) == 2
+        assert message in capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gravopt import (
-    AgentState,
     ConfigError,
     GsaConfig,
     KernelSpec,
@@ -32,37 +31,6 @@ def minimal_config(**overrides):
     )
     base.update(overrides)
     return GsaConfig(**base)
-
-
-class TestAgentState:
-    def test_valid_construction(self):
-        agent = AgentState(position=[1.0, 2.0], velocity=[0.0, 0.0], fitness=3.0, mass=0.5)
-        assert agent.dims == 2
-        assert agent.mass == 0.5
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            AgentState(position=[1.0, 2.0], velocity=[0.0], fitness=0.0, mass=1.0)
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError, match="mass"):
-            AgentState(position=[0.0], velocity=[0.0], fitness=0.0, mass=-1e-9)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_fields_rejected(self, bad):
-        with pytest.raises(ValueError):
-            AgentState(position=[bad], velocity=[0.0], fitness=0.0, mass=1.0)
-        with pytest.raises(ValueError):
-            AgentState(position=[0.0], velocity=[bad], fitness=0.0, mass=1.0)
-        with pytest.raises(ValueError):
-            AgentState(position=[0.0], velocity=[0.0], fitness=bad, mass=1.0)
-        with pytest.raises(ValueError):
-            AgentState(position=[0.0], velocity=[0.0], fitness=0.0, mass=bad)
-
-    def test_position_is_read_only(self):
-        agent = AgentState(position=[1.0], velocity=[0.0], fitness=0.0, mass=1.0)
-        with pytest.raises(ValueError):
-            agent.position[0] = 2.0
 
 
 class TestKernelSpec:

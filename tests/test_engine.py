@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from gravopt import (
     g_schedule,
     initialize,
     kbest_size,
+    forces,
     run,
     step,
-    total_force,
 )
 from gravopt.objectives import sphere
 
@@ -172,38 +173,36 @@ class TestInitialize:
         with pytest.raises(EvaluationError, match="agent"):
             initialize(config, bad)
 
-    def test_agents_property(self):
-        state = initialize(make_config(), sphere)
-        agents = state.agents
-        assert len(agents) == 5
-        assert agents[0].position == pytest.approx(state.positions[0])
+
+def full_kbest_forces(state, kernel):
+    """Forces on every agent from the whole swarm with unit weights."""
+    n = state.population
+    return forces(
+        state.positions, state.masses, state.g_current, kernel, np.arange(n), np.ones((n, n))
+    )
 
 
 class TestTotalForce:
     def test_two_agents_equals_pairwise(self):
-        from gravopt import pairwise_force
-
+        # min-max masses of two agents are (1, 0); nonzero masses keep the
+        # pair force from vanishing
         config = make_config(population=2, deterministic_weights=True)
-        state = initialize(config, sphere)
-        agents = state.agents
-        f = total_force(0, state, config.kernel, config)
-        expected = pairwise_force(config.kernel, state.g_current, agents[0], agents[1])
-        assert np.array_equal(f, expected)
+        state = replace(initialize(config, sphere), masses=np.array([0.4, 0.6]))
+        delta = state.positions[1] - state.positions[0]
+        r = math.sqrt(float(np.dot(delta, delta)))
+        coeff = state.g_current * (state.masses[0] * state.masses[1]) / (r + config.kernel.epsilon)
+        f = full_kbest_forces(state, config.kernel)
+        np.testing.assert_allclose(f, [coeff * delta, -coeff * delta], rtol=1e-15, atol=0.0)
 
     def test_global_force_balance(self):
         config = make_config(population=12, dims=3, deterministic_weights=True)
         state = initialize(config, sphere)
-        total = np.zeros(3)
-        for i in range(12):
-            total += total_force(i, state, config.kernel, config)
+        total = full_kbest_forces(state, config.kernel).sum(axis=0)
         np.testing.assert_allclose(total, np.zeros(3), atol=1e-9)
 
     def test_matches_naive_double_loop(self):
         # independently coded oracle: plain double loop over the kernel formula
         rng = np.random.Generator(np.random.PCG64(9))
-        config = make_config(
-            population=10, dims=3, deterministic_weights=True, max_iters=100
-        )
         for kernel in (KernelSpec.original(), KernelSpec.inverse_square()):
             for _ in range(20):
                 state = initialize(
@@ -216,8 +215,7 @@ class TestTotalForce:
                     ),
                     sphere,
                 )
-                for i in range(10):
-                    got = total_force(i, state, kernel, config)
+                for i, got in enumerate(full_kbest_forces(state, kernel)):
                     expected = np.zeros(3)
                     for j in range(10):
                         if j == i:
@@ -236,12 +234,6 @@ class TestTotalForce:
                     np.testing.assert_allclose(
                         got, expected, rtol=1e-12, atol=1e-12 * scale
                     )
-
-    def test_bad_index_rejected(self):
-        config = make_config()
-        state = initialize(config, sphere)
-        with pytest.raises(ValueError):
-            total_force(5, state, config.kernel, config)
 
 
 def oracle_initialize_and_step(config, objective):
@@ -332,8 +324,7 @@ class TestStep:
         )
         centroid = positions.mean(axis=0)
         accel_sum = np.zeros(2)
-        for i in range(3):
-            force = total_force(i, state, config.kernel, config)
+        for i, force in enumerate(full_kbest_forces(state, config.kernel)):
             to_centroid = centroid - positions[i]
             norm_f = np.linalg.norm(force)
             norm_c = np.linalg.norm(to_centroid)
@@ -407,10 +398,10 @@ class TestRun:
     def test_zero_forces_freeze_swarm(self, monkeypatch):
         # kernel interchangeability: forcing zero forces must freeze the
         # positions without touching any other control flow
-        def zero_forces(positions, masses, g, kernel, kbest, weight_matrix):
+        def zero_forces(positions, masses, g, kernel, kbest, weights):
             return np.zeros_like(positions)
 
-        monkeypatch.setattr(engine, "_batch_forces", zero_forces)
+        monkeypatch.setattr(engine, "forces", zero_forces)
         config = make_config(population=6, dims=3, max_iters=5, record_positions=True)
         state = initialize(config, sphere)
         trace = run(config, sphere)

@@ -2,17 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gravopt import (
-    AgentState,
-    ForceOverflowError,
-    KernelSpec,
-    distance,
-    force_magnitude,
-    pairwise_force,
-    probe_exponent,
-)
+from gravopt import ForceOverflowError, KernelSpec, forces, probe_exponent
 
 ALL_KERNELS_EPS0 = [
     KernelSpec.original(0.0),
@@ -22,34 +14,39 @@ ALL_KERNELS_EPS0 = [
 ]
 
 
-def agent(position, mass=1.0):
-    position = np.asarray(position, dtype=float)
-    return AgentState(
-        position=position, velocity=np.zeros_like(position), fitness=0.0, mass=mass
-    )
+def pair_forces(kernel, g, x_i, x_j, m_i=1.0, m_j=1.0):
+    """Row 0 is the force on i from j, row 1 the force on j from i."""
+    masses = np.array([m_i, m_j], dtype=float)
+    return forces(np.array([x_i, x_j], dtype=float), masses, g, kernel, np.arange(2), np.ones((2, 2)))
+
+
+def magnitude(kernel, g, x_i, x_j, m_i=1.0, m_j=1.0):
+    """Norm of the force on i from j."""
+    return float(np.linalg.norm(pair_forces(kernel, g, x_i, x_j, m_i, m_j)[0]))
 
 
 def random_pair(rng, dims, mass_range=(1e-3, 1e3), r_range=(1e-6, 1e6)):
-    """Two agents at a log-uniform random distance along a random direction."""
+    """(x_i, x_j, m_i, m_j) at a log-uniform random distance along a random direction."""
     m_i = 10.0 ** rng.uniform(np.log10(mass_range[0]), np.log10(mass_range[1]))
     m_j = 10.0 ** rng.uniform(np.log10(mass_range[0]), np.log10(mass_range[1]))
     r = 10.0 ** rng.uniform(np.log10(r_range[0]), np.log10(r_range[1]))
     direction = rng.normal(size=dims)
     direction /= math.sqrt(float(np.dot(direction, direction)))
     x_i = rng.uniform(-1.0, 1.0, dims)
-    return agent(x_i, m_i), agent(x_i + r * direction, m_j)
+    return x_i, x_i + r * direction, m_i, m_j
 
 
 class TestDistance:
+    """The distance R the force law measures, read off the inverse-linear
+    kernel at unit G and masses, where the magnitude is 1/R."""
+
     def test_coincident_points(self):
-        assert distance([0.0, 0.0], [0.0, 0.0]) == 0.0
+        f = pair_forces(KernelSpec.inverse_linear(0.0), 1.0, [0.0, 0.0], [0.0, 0.0])
+        assert np.array_equal(f, np.zeros((2, 2)))
 
     def test_three_four_five(self):
-        assert distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0, abs=0.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            distance([0.0], [0.0, 1.0])
+        mag = magnitude(KernelSpec.inverse_linear(0.0), 1.0, [0.0, 0.0], [3.0, 4.0])
+        assert 1.0 / mag == pytest.approx(5.0, rel=1e-15)
 
     @given(
         st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=8),
@@ -58,72 +55,68 @@ class TestDistance:
     def test_symmetry(self, a, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         b = rng.uniform(-1e6, 1e6, len(a))
-        assert distance(a, b) == distance(b, a)
+        f = pair_forces(KernelSpec.inverse_linear(0.0), 1.0, a, b)
+        assert np.linalg.norm(f[0]) == np.linalg.norm(f[1])
 
 
 class TestPairwiseForce:
     @pytest.mark.parametrize("kernel", ALL_KERNELS_EPS0 + [KernelSpec.original()])
     def test_zero_mass_annihilates(self, kernel):
-        f = pairwise_force(kernel, 2.0, agent([0.0, 0.0], 0.0), agent([3.0, 4.0], 4.0))
-        assert np.array_equal(f, np.zeros(2))
+        f = pair_forces(kernel, 2.0, [0.0, 0.0], [3.0, 4.0], 0.0, 4.0)
+        assert np.array_equal(f, np.zeros((2, 2)))
 
     def test_original_kernel_hand_value(self):
         # independent evaluation: R = 5, coeff = 2*3*4/5 = 4.8, f = 4.8*(3, 4)
         kernel = KernelSpec.original(0.0)
-        f = pairwise_force(kernel, 2.0, agent([0.0, 0.0], 3.0), agent([3.0, 4.0], 4.0))
+        f = pair_forces(kernel, 2.0, [0.0, 0.0], [3.0, 4.0], 3.0, 4.0)[0]
         assert f == pytest.approx([14.4, 19.2], rel=1e-15)
-        assert force_magnitude(kernel, 2.0, agent([0.0, 0.0], 3.0), agent([3.0, 4.0], 4.0)) == pytest.approx(24.0, rel=1e-13)
+        assert magnitude(kernel, 2.0, [0.0, 0.0], [3.0, 4.0], 3.0, 4.0) == pytest.approx(24.0, rel=1e-13)
 
     def test_original_magnitude_ignores_distance(self):
         # same masses and G, ten times the separation: magnitude unchanged
         kernel = KernelSpec.original(0.0)
-        mag = force_magnitude(kernel, 2.0, agent([0.0, 0.0], 3.0), agent([30.0, 40.0], 4.0))
+        mag = magnitude(kernel, 2.0, [0.0, 0.0], [30.0, 40.0], 3.0, 4.0)
         assert mag == pytest.approx(24.0, rel=1e-13)
 
     def test_unit_distance_coincidence(self):
         # 1**q = 1 for every q: all kernels agree at R = 1
-        a, b = agent([0.2, -0.3], 2.0), None
-        direction = np.array([0.6, 0.8])
-        b = agent(np.asarray([0.2, -0.3]) + direction, 3.0)
-        reference = pairwise_force(ALL_KERNELS_EPS0[0], 1.5, a, b)
+        a = np.array([0.2, -0.3])
+        b = a + np.array([0.6, 0.8])
+        reference = pair_forces(ALL_KERNELS_EPS0[0], 1.5, a, b, 2.0, 3.0)
         for kernel in ALL_KERNELS_EPS0[1:]:
-            assert pairwise_force(kernel, 1.5, a, b) == pytest.approx(
-                reference, rel=1e-12
+            np.testing.assert_allclose(
+                pair_forces(kernel, 1.5, a, b, 2.0, 3.0), reference, rtol=1e-12
             )
 
     def test_inverse_square_hand_value(self):
         # independent evaluation: R = 5, R**3 = 125, coeff = 24/125 = 0.192
         kernel = KernelSpec.inverse_square(0.0)
-        f = pairwise_force(kernel, 2.0, agent([0.0, 0.0], 3.0), agent([3.0, 4.0], 4.0))
+        f = pair_forces(kernel, 2.0, [0.0, 0.0], [3.0, 4.0], 3.0, 4.0)[0]
         assert f == pytest.approx([0.576, 0.768], rel=1e-14)
-        assert force_magnitude(kernel, 2.0, agent([0.0, 0.0], 3.0), agent([3.0, 4.0], 4.0)) == pytest.approx(0.96, rel=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            pairwise_force(KernelSpec.original(), 1.0, agent([0.0]), agent([0.0, 1.0]))
+        assert magnitude(kernel, 2.0, [0.0, 0.0], [3.0, 4.0], 3.0, 4.0) == pytest.approx(0.96, rel=1e-13)
 
     def test_overflow_raises(self):
         # R**3 underflows to zero for R = 1e-150, epsilon = 0 (any smaller
         # R underflows inside the norm itself and hits the coincident rule)
         kernel = KernelSpec.inverse_square(0.0)
         with pytest.raises(ForceOverflowError, match="increase epsilon"):
-            pairwise_force(kernel, 1.0, agent([0.0], 1.0), agent([1e-150], 1.0))
+            pair_forces(kernel, 1.0, [0.0], [1e-150])
 
 
 class TestForceMagnitude:
     def test_unit_masses_far_apart(self):
         kernel = KernelSpec.original(0.0)
-        mag = force_magnitude(kernel, 1.0, agent([0.0], 1.0), agent([1e6], 1.0))
+        mag = magnitude(kernel, 1.0, [0.0], [1e6])
         assert mag == pytest.approx(1.0, rel=1e-13)
 
     def test_coincident_agents(self):
         for kernel in ALL_KERNELS_EPS0:
-            assert force_magnitude(kernel, 1.0, agent([1.0, 2.0]), agent([1.0, 2.0])) == 0.0
+            assert magnitude(kernel, 1.0, [1.0, 2.0], [1.0, 2.0]) == 0.0
 
     def test_inverse_linear_hand_value(self):
         # G*m_i*m_j/R with R = 4 -> 0.25
         kernel = KernelSpec.inverse_linear(0.0)
-        mag = force_magnitude(kernel, 1.0, agent([0.0], 1.0), agent([4.0], 1.0))
+        mag = magnitude(kernel, 1.0, [0.0], [4.0])
         assert mag == pytest.approx(0.25, rel=1e-14)
 
 
@@ -172,20 +165,19 @@ class TestInvariants:
         rng = np.random.Generator(np.random.PCG64(101))
         for _ in range(200):
             dims = int(rng.integers(1, 8))
-            a, b = random_pair(rng, dims)
+            pair = random_pair(rng, dims)
             for kernel in ALL_KERNELS_EPS0:
-                f_ij = pairwise_force(kernel, 2.5, a, b)
-                f_ji = pairwise_force(kernel, 2.5, b, a)
+                f_ij, f_ji = pair_forces(kernel, 2.5, *pair)
                 assert np.array_equal(f_ij, -f_ji)
 
     def test_attraction(self):
         rng = np.random.Generator(np.random.PCG64(202))
         for _ in range(200):
             dims = int(rng.integers(1, 8))
-            a, b = random_pair(rng, dims)
-            delta = b.position - a.position
+            x_i, x_j, m_i, m_j = random_pair(rng, dims)
+            delta = x_j - x_i
             for kernel in ALL_KERNELS_EPS0:
-                f = pairwise_force(kernel, 2.5, a, b)
+                f = pair_forces(kernel, 2.5, x_i, x_j, m_i, m_j)[0]
                 assert float(np.dot(f, delta)) >= 0.0
 
     def test_original_magnitude_closed_form(self):
@@ -194,10 +186,10 @@ class TestInvariants:
         kernel = KernelSpec.original(0.0)
         for _ in range(500):
             dims = int(rng.integers(1, 51))
-            a, b = random_pair(rng, dims)
+            x_i, x_j, m_i, m_j = random_pair(rng, dims)
             g = 10.0 ** rng.uniform(-3, 3)
-            expected = g * a.mass * b.mass
-            assert abs(force_magnitude(kernel, g, a, b) - expected) <= 1e-12 * expected
+            expected = g * m_i * m_j
+            assert abs(magnitude(kernel, g, x_i, x_j, m_i, m_j) - expected) <= 1e-12 * expected
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
     def test_scaling_law(self, q):
@@ -209,11 +201,9 @@ class TestInvariants:
             x_j = rng.uniform(-2.0, 2.0, 3)
             if np.array_equal(x_i, x_j):
                 continue
-            base = force_magnitude(kernel, 2.0, agent(x_i, 3.0), agent(x_j, 4.0))
+            base = magnitude(kernel, 2.0, x_i, x_j, 3.0, 4.0)
             for lam in (0.01, 1.0, 100.0):
-                scaled = force_magnitude(
-                    kernel, 2.0, agent(lam * x_i, 3.0), agent(lam * x_j, 4.0)
-                )
+                scaled = magnitude(kernel, 2.0, lam * x_i, lam * x_j, 3.0, 4.0)
                 tol = 1e-12 if q == 0.0 else 1e-9
                 assert scaled == pytest.approx(base * lam ** (-q), rel=tol)
 
@@ -224,21 +214,21 @@ class TestInvariants:
         rng = np.random.Generator(np.random.PCG64(505))
         for _ in range(100):
             dims = int(rng.integers(1, 10))
-            a, b = random_pair(rng, dims, r_range=(1e-3, 1e3))
+            x_i, x_j, m_i, m_j = random_pair(rng, dims, r_range=(1e-3, 1e3))
             g = 2.0
-            delta = b.position - a.position
+            delta = x_j - x_i
             r = math.sqrt(float(np.dot(delta, delta)))
-            expected = (g * a.mass * b.mass / r**q) * (delta / r)
-            f = pairwise_force(kernel, g, a, b)
+            expected = (g * m_i * m_j / r**q) * (delta / r)
+            f = pair_forces(kernel, g, x_i, x_j, m_i, m_j)[0]
             np.testing.assert_allclose(f, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
     def test_epsilon_continuity(self, q):
-        a, b = agent([0.1, -0.4], 2.0), agent([1.3, 0.9], 5.0)
-        exact = pairwise_force(KernelSpec.power_law(q, 0.0), 3.0, a, b)
+        pair = ([0.1, -0.4], [1.3, 0.9], 2.0, 5.0)
+        exact = pair_forces(KernelSpec.power_law(q, 0.0), 3.0, *pair)[0]
         deviations = []
         for eps in (1e-6, 1e-9, 1e-12):
-            f = pairwise_force(KernelSpec.power_law(q, eps), 3.0, a, b)
+            f = pair_forces(KernelSpec.power_law(q, eps), 3.0, *pair)[0]
             deviations.append(float(np.max(np.abs(f - exact))))
         assert deviations[0] >= deviations[1] >= deviations[2]
         assert deviations[2] <= 1e-11 * float(np.max(np.abs(exact)))
@@ -253,10 +243,8 @@ class TestInvariants:
                 rot = np.array(
                     [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
                 )
-                base = force_magnitude(kernel, 2.0, agent(x_i, 2.0), agent(x_j, 3.0))
-                rotated = force_magnitude(
-                    kernel, 2.0, agent(rot @ x_i, 2.0), agent(rot @ x_j, 3.0)
-                )
+                base = magnitude(kernel, 2.0, x_i, x_j, 2.0, 3.0)
+                rotated = magnitude(kernel, 2.0, rot @ x_i, rot @ x_j, 2.0, 3.0)
                 assert rotated == pytest.approx(base, rel=1e-12)
 
     def test_alias_kinds_bit_identical(self):
@@ -267,9 +255,44 @@ class TestInvariants:
             (KernelSpec.inverse_square(1e-12), KernelSpec.power_law(2.0, 1e-12)),
         ]
         for _ in range(50):
-            a, b = random_pair(rng, 4, r_range=(1e-3, 1e3))
+            pair = random_pair(rng, 4, r_range=(1e-3, 1e3))
             for named, generic in pairs:
                 assert np.array_equal(
-                    pairwise_force(named, 2.0, a, b),
-                    pairwise_force(generic, 2.0, a, b),
+                    pair_forces(named, 2.0, *pair), pair_forces(generic, 2.0, *pair)
                 )
+
+
+class TestForces:
+    @given(
+        n=st.integers(2, 8),
+        dims=st.integers(1, 5),
+        q=st.floats(0.0, 3.0),
+        epsilon=st.one_of(st.just(0.0), st.just(1e-12), st.floats(1e-15, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_double_loop(self, n, dims, q, epsilon, seed):
+        # Kbest mask, weights and a coincident pair together, against an
+        # independently coded double loop over the kernel formula
+        rng = np.random.Generator(np.random.PCG64(seed))
+        positions = rng.uniform(-10.0, 10.0, (n, dims))
+        a, b = rng.choice(n, 2, replace=False)
+        positions[b] = positions[a]
+        masses = rng.random(n)
+        g = 10.0 ** rng.uniform(-3.0, 3.0)
+        kbest = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        weights = rng.random((n, n))
+        got = forces(positions, masses, g, KernelSpec.power_law(q, epsilon), kbest, weights)
+        expected = np.zeros((n, dims))
+        for i in range(n):
+            for j in kbest:
+                delta = positions[j] - positions[i]
+                r = math.sqrt(float(np.sum(delta * delta)))
+                if j == i or r == 0.0:
+                    continue
+                expected[i] += (
+                    weights[i, j] * g * (masses[i] * masses[j])
+                    / (r ** (q + 1.0) + epsilon) * delta
+                )
+        scale = float(np.max(np.abs(expected))) or 1.0
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
