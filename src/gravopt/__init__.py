@@ -7,80 +7,30 @@ inverse-linear and inverse-square laws, or any nonnegative power law.
 empirically; the experiments module runs seeded comparison grids.
 """
 
-from .core import (
-    DEFAULT_EPSILON,
-    ConfigError,
-    GsaConfig,
-    KernelSpec,
-    ProbeReport,
-    RunTrace,
-    TraceRecord,
-    validate_config,
-)
-from .engine import (
-    DivergenceError,
-    EvaluationError,
-    SwarmState,
-    compute_masses,
-    g_schedule,
-    initialize,
-    kbest_size,
-    run,
-    step,
-)
-from .experiments import (
-    ExperimentPlan,
-    ResultRow,
-    Summary,
-    SummaryRow,
-    WinCount,
-    derive_seed,
-    run_grid,
-    summarize,
-)
-from .kernels import (
-    DEFAULT_PROBE_DISTANCES,
-    ForceOverflowError,
-    forces,
-    probe_exponent,
-)
-from .objectives import ObjectiveSpec, evaluate, make_objective, objective_names
+from .core import ConfigError, GsaConfig, KernelSpec, ProbeReport, RunTrace
+from .engine import DivergenceError, EvaluationError, run
+from .experiments import ExperimentPlan, run_grid, summarize
+from .kernels import ForceOverflowError, forces, probe_exponent
+from .objectives import make_objective, objective_names
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "DEFAULT_EPSILON",
-    "DEFAULT_PROBE_DISTANCES",
     "DivergenceError",
     "EvaluationError",
     "ExperimentPlan",
     "ForceOverflowError",
     "GsaConfig",
     "KernelSpec",
-    "ObjectiveSpec",
     "ProbeReport",
-    "ResultRow",
     "RunTrace",
-    "Summary",
-    "SummaryRow",
-    "SwarmState",
-    "TraceRecord",
-    "WinCount",
-    "compute_masses",
-    "derive_seed",
-    "evaluate",
     "forces",
-    "g_schedule",
-    "initialize",
-    "kbest_size",
     "make_objective",
     "objective_names",
     "probe_exponent",
     "run",
     "run_grid",
-    "step",
     "summarize",
-    "validate_config",
     "__version__",
 ]

@@ -57,7 +57,6 @@ DEFAULTS = {
     "repetitions": 25,
     "deterministic_weights": False,
     "kbest_initial_fraction": 1.0,
-    "record_positions": False,
 }
 
 _CONFIG_FILE_KEYS = {
@@ -72,7 +71,6 @@ _CONFIG_FILE_KEYS = {
     "kbest_initial_fraction",
     "deterministic_weights",
     "seed",
-    "record_positions",
     "function",
     "repetitions",
     "probe_r_values",
@@ -276,7 +274,6 @@ def _build_config(settings: dict) -> GsaConfig:
         kbest_initial_fraction=float(settings["kbest_initial_fraction"]),
         deterministic_weights=bool(settings["deterministic_weights"]),
         seed=int(settings["seed"]),
-        record_positions=bool(settings["record_positions"]),
     )
     validate_config(config)
     return config

@@ -112,7 +112,6 @@ class GsaConfig:
     kbest_initial_fraction: float = 1.0
     deterministic_weights: bool = False
     seed: int = 0
-    record_positions: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "population", int(self.population))
@@ -135,7 +134,6 @@ class GsaConfig:
             self, "deterministic_weights", bool(self.deterministic_weights)
         )
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "record_positions", bool(self.record_positions))
         if not isinstance(self.kernel, KernelSpec):
             raise ValueError("kernel must be a KernelSpec")
 
@@ -173,52 +171,27 @@ def validate_config(config: GsaConfig) -> None:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """Scalar summary of the population after one iteration."""
-
-    iteration: int
-    best_so_far: float
-    population_best: float
-    population_mean: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "iteration", int(self.iteration))
-        object.__setattr__(
-            self, "best_so_far", _finite_scalar(self.best_so_far, "best_so_far")
-        )
-        object.__setattr__(
-            self,
-            "population_best",
-            _finite_scalar(self.population_best, "population_best"),
-        )
-        object.__setattr__(
-            self,
-            "population_mean",
-            _finite_scalar(self.population_mean, "population_mean"),
-        )
-
-
-@dataclass(frozen=True)
 class RunTrace:
-    """Per-iteration record of a completed run.
+    """Per-iteration summary of a completed run, stored as columns.
 
-    records holds one TraceRecord per iteration; best_so_far is
-    non-increasing across them. positions carries per-iteration position
-    dumps only when the run was configured with record_positions.
+    best_so_far, population_best and population_mean are read-only
+    float64 arrays of equal length; entry t belongs to iteration t + 1.
+    best_so_far is non-increasing.
     """
 
-    records: tuple[TraceRecord, ...]
+    best_so_far: np.ndarray
+    population_best: np.ndarray
+    population_mean: np.ndarray
     final_best_position: np.ndarray
-    positions: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        records = tuple(self.records)
-        if not records:
-            raise ValueError("trace must contain at least one record")
-        for earlier, later in zip(records, records[1:]):
-            if later.best_so_far > earlier.best_so_far:
-                raise ValueError("best_so_far must be non-increasing")
-        object.__setattr__(self, "records", records)
+        for name in ("best_so_far", "population_best", "population_mean"):
+            object.__setattr__(self, name, _readonly_vector(getattr(self, name), name))
+        lengths = {self.best_so_far.size, self.population_best.size, self.population_mean.size}
+        if len(lengths) != 1:
+            raise ValueError("trace columns must have equal length")
+        if np.any(np.diff(self.best_so_far) > 0.0):
+            raise ValueError("best_so_far must be non-increasing")
         object.__setattr__(
             self,
             "final_best_position",
@@ -227,7 +200,7 @@ class RunTrace:
 
     @property
     def final_best(self) -> float:
-        return self.records[-1].best_so_far
+        return float(self.best_so_far[-1])
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GsaConfig, RunTrace, TraceRecord, validate_config
+from .core import GsaConfig, RunTrace, validate_config
 from .kernels import forces
 
 #: Softening added to the acceleration denominator; the worst agent's
@@ -44,7 +44,7 @@ Objective = Callable[[np.ndarray], float]
 
 
 class EvaluationError(RuntimeError):
-    """The objective returned a non-finite value."""
+    """The objective returned a non-finite value, or the mean fitness overflowed."""
 
 
 class DivergenceError(RuntimeError):
@@ -141,14 +141,16 @@ def kbest_indices(fitnesses: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
-def _evaluate_population(objective: Objective, positions: np.ndarray) -> np.ndarray:
+def _evaluate_population(
+    objective: Objective, positions: np.ndarray, iteration: int
+) -> np.ndarray:
     fitnesses = np.empty(positions.shape[0])
     for i in range(positions.shape[0]):
         value = float(objective(positions[i].copy()))
         if not math.isfinite(value):
             raise EvaluationError(
                 f"objective returned non-finite value {value} for agent {i} "
-                f"at position {positions[i].tolist()}"
+                f"at iteration {iteration}, position {positions[i].tolist()}"
             )
         fitnesses[i] = value
     return fitnesses
@@ -162,7 +164,7 @@ def initialize(config: GsaConfig, objective: Objective) -> SwarmState:
     width = config.upper_bound - config.lower_bound
     positions = config.lower_bound + rng.random((n, d)) * width
     velocities = np.zeros((n, d))
-    fitnesses = _evaluate_population(objective, positions)
+    fitnesses = _evaluate_population(objective, positions, 0)
     masses = compute_masses(fitnesses)
     best = int(np.argmin(fitnesses))
     return SwarmState(
@@ -183,6 +185,7 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
     if state.iteration >= config.max_iters:
         raise ValueError("run already reached max_iters")
     n, d = state.positions.shape
+    iteration = state.iteration + 1
     k = kbest_size(
         state.iteration, config.max_iters, n, config.kbest_initial_fraction
     )
@@ -207,13 +210,14 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
         velocities = state.rng.random((n, d)) * state.velocities + accel
     raw = state.positions + velocities
     if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(velocities))):
-        raise DivergenceError("dynamics diverged; increase epsilon or reduce g0")
+        raise DivergenceError(
+            f"dynamics diverged at iteration {iteration}; increase epsilon or reduce g0"
+        )
     positions = np.clip(raw, config.lower_bound, config.upper_bound)
     velocities = np.where(positions != raw, 0.0, velocities)
 
-    fitnesses = _evaluate_population(objective, positions)
+    fitnesses = _evaluate_population(objective, positions, iteration)
     masses = compute_masses(fitnesses)
-    iteration = state.iteration + 1
     best = int(np.argmin(fitnesses))
     if fitnesses[best] < state.best_so_far_fitness:
         best_fitness = float(fitnesses[best])
@@ -237,25 +241,26 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
 def run(config: GsaConfig, objective: Objective) -> RunTrace:
     """Initialize then step exactly max_iters times.
 
-    Bit-identical traces for identical (config, objective).
+    Bit-identical traces for identical (config, objective). Raises
+    EvaluationError when the population's mean fitness overflows.
     """
     state = initialize(config, objective)
-    records = []
-    position_dumps = [] if config.record_positions else None
-    for _ in range(config.max_iters):
+    best_so_far = np.empty(config.max_iters)
+    population_best = np.empty(config.max_iters)
+    population_mean = np.empty(config.max_iters)
+    for t in range(config.max_iters):
         state = step(state, config, objective)
-        records.append(
-            TraceRecord(
-                iteration=state.iteration,
-                best_so_far=state.best_so_far_fitness,
-                population_best=float(state.fitnesses.min()),
-                population_mean=float(state.fitnesses.mean()),
+        best_so_far[t] = state.best_so_far_fitness
+        population_best[t] = state.fitnesses.min()
+        with np.errstate(over="ignore"):
+            population_mean[t] = state.fitnesses.mean()
+        if not math.isfinite(population_mean[t]):
+            raise EvaluationError(
+                f"population mean fitness overflowed at iteration {state.iteration}"
             )
-        )
-        if position_dumps is not None:
-            position_dumps.append(state.positions.copy())
     return RunTrace(
-        records=tuple(records),
-        final_best_position=state.best_so_far_position.copy(),
-        positions=tuple(position_dumps) if position_dumps is not None else None,
+        best_so_far=best_so_far,
+        population_best=population_best,
+        population_mean=population_mean,
+        final_best_position=state.best_so_far_position,
     )

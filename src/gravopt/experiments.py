@@ -293,10 +293,15 @@ def write_trace_csv(trace: RunTrace, config: GsaConfig, target) -> None:
         f" deterministic_weights={det} seed={config.seed}",
         TRACE_HEADER,
     ]
-    for record in trace.records:
+    columns = zip(
+        trace.best_so_far.tolist(),
+        trace.population_best.tolist(),
+        trace.population_mean.tolist(),
+    )
+    for iteration, (best, pop_best, pop_mean) in enumerate(columns, start=1):
         lines.append(
-            f"{record.iteration},{format_float(record.best_so_far)},"
-            f"{format_float(record.population_best)},{format_float(record.population_mean)}"
+            f"{iteration},{format_float(best)},"
+            f"{format_float(pop_best)},{format_float(pop_mean)}"
         )
     _write_lines(target, lines)
 

@@ -11,18 +11,18 @@ import time
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from gravopt import (
     ExperimentPlan,
     GsaConfig,
     KernelSpec,
-    compute_masses,
     forces,
-    initialize,
     make_objective,
     run_grid,
 )
 from gravopt.cli import main as cli_main
+from gravopt.engine import compute_masses, initialize
 from gravopt.experiments import cell_config
 from gravopt.objectives import sphere
 
@@ -296,6 +296,7 @@ def test_criterion_8_optimization_sanity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_kernel_comparison_reproduction(tmp_path, capsys):
     out = tmp_path / "results.csv"
     started = time.perf_counter()

@@ -131,6 +131,12 @@ class TestConfigFile:
         assert cli.main(["run", "--config", str(config)]) == 2
         assert "popsize" in capsys.readouterr().err
 
+    def test_record_positions_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"record_positions": False}))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "record_positions" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_failure(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 4
 
@@ -210,6 +216,18 @@ class TestRunCommand:
             ["probe", "--kernel", "square", "--epsilon", "0", "--config", str(config)]
         )
         assert code == 3
+
+    def test_mean_fitness_overflow_is_numeric_failure(self, tmp_path, capsys):
+        # each sphere value is finite near 3e307, their sum over the
+        # population overflows to inf
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps({"lower_bound": [-1e153] * 30, "upper_bound": [1e153] * 30})
+        )
+        assert cli.main(["run", "--config", str(config), "--iters", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err
+        assert "iteration 1" in err
 
     def test_io_failure_exit_code(self, tmp_path):
         code = cli.main(

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gravopt import (
-    ConfigError,
-    GsaConfig,
-    KernelSpec,
-    ProbeReport,
-    RunTrace,
-    TraceRecord,
-    validate_config,
-)
+import gravopt
+from gravopt import ConfigError, GsaConfig, KernelSpec, ProbeReport, RunTrace
+from gravopt.core import validate_config
 
 
 def minimal_config(**overrides):
@@ -111,32 +105,50 @@ class TestValidateConfig:
             minimal_config(lower_bound=[math.nan])
 
 
+def make_trace(best_so_far, population_best=None, population_mean=None):
+    n = len(best_so_far)
+    return RunTrace(
+        best_so_far=best_so_far,
+        population_best=best_so_far if population_best is None else population_best,
+        population_mean=np.full(n, 9.0) if population_mean is None else population_mean,
+        final_best_position=[0.0],
+    )
+
+
 class TestRunTrace:
     def test_best_so_far_must_not_increase(self):
-        good = RunTrace(
-            records=(
-                TraceRecord(1, 5.0, 5.0, 6.0),
-                TraceRecord(2, 4.0, 4.0, 5.0),
-            ),
-            final_best_position=[0.0],
-        )
+        good = make_trace([5.0, 4.0, 4.0])
         assert good.final_best == 4.0
         with pytest.raises(ValueError, match="non-increasing"):
-            RunTrace(
-                records=(
-                    TraceRecord(1, 4.0, 4.0, 5.0),
-                    TraceRecord(2, 5.0, 5.0, 6.0),
-                ),
-                final_best_position=[0.0],
-            )
+            make_trace([4.0, 5.0])
 
     def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            RunTrace(records=(), final_best_position=[0.0])
+        with pytest.raises(ValueError, match="at least one entry"):
+            make_trace([])
 
-    def test_non_finite_record_rejected(self):
-        with pytest.raises(ValueError):
-            TraceRecord(1, math.nan, 0.0, 0.0)
+    @pytest.mark.parametrize("column", ["best_so_far", "population_best", "population_mean"])
+    def test_non_finite_column_rejected(self, column):
+        columns = {name: [2.0, 1.0] for name in
+                   ("best_so_far", "population_best", "population_mean")}
+        columns[column] = [2.0, math.inf]
+        with pytest.raises(ValueError, match=f"{column} must contain only finite"):
+            make_trace(**columns)
+
+    def test_unequal_column_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            make_trace([2.0, 1.0], population_mean=[3.0])
+
+    def test_columns_are_read_only_float64(self):
+        trace = make_trace([3, 2, 1])
+        for column in (trace.best_so_far, trace.population_best, trace.population_mean):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+
+def test_every_exported_name_resolves():
+    for name in gravopt.__all__:
+        assert getattr(gravopt, name) is not None
 
 
 class TestProbeReport:

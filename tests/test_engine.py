@@ -6,18 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gravopt.engine as engine
-from gravopt import (
-    EvaluationError,
-    GsaConfig,
-    KernelSpec,
-    compute_masses,
-    g_schedule,
-    initialize,
-    kbest_size,
-    forces,
-    run,
-    step,
-)
+from gravopt import DivergenceError, EvaluationError, GsaConfig, KernelSpec, forces, run
+from gravopt.engine import compute_masses, g_schedule, initialize, kbest_size, step
 from gravopt.objectives import sphere
 
 
@@ -172,6 +162,19 @@ class TestInitialize:
 
         with pytest.raises(EvaluationError, match="agent"):
             initialize(config, bad)
+
+    def test_non_finite_objective_names_iteration(self):
+        config = make_config(population=5, max_iters=10)
+        calls = 0
+
+        def nan_from_step_3(x):
+            nonlocal calls
+            calls += 1
+            return math.nan if calls > 3 * config.population + 1 else sphere(x)
+
+        # initialize and two steps evaluate cleanly; agent 1 of step 3 fails
+        with pytest.raises(EvaluationError, match=r"agent 1 at iteration 3,"):
+            run(config, nan_from_step_3)
 
 
 def full_kbest_forces(state, kernel):
@@ -350,6 +353,17 @@ class TestStep:
         with pytest.raises(ValueError):
             step(state, config, sphere)
 
+    def test_divergence_names_iteration(self, monkeypatch):
+        config = make_config(max_iters=10)
+        state = step(initialize(config, sphere), config, sphere)
+
+        def infinite_forces(positions, masses, g, kernel, kbest, weights):
+            return np.full_like(positions, math.inf)
+
+        monkeypatch.setattr(engine, "forces", infinite_forces)
+        with pytest.raises(DivergenceError, match="at iteration 2;"):
+            step(state, config, sphere)
+
     def test_mass_normalization_every_step(self):
         config = make_config(population=8, dims=4, max_iters=20)
         state = initialize(config, sphere)
@@ -361,33 +375,32 @@ class TestStep:
 class TestRun:
     def test_single_iteration_trace(self):
         trace = run(make_config(max_iters=1), sphere)
-        assert len(trace.records) == 1
+        assert trace.best_so_far.shape == (1,)
 
     def test_trace_length_and_monotone_best(self):
         trace = run(make_config(max_iters=25), sphere)
-        assert len(trace.records) == 25
-        bests = [r.best_so_far for r in trace.records]
-        assert all(a >= b for a, b in zip(bests, bests[1:]))
+        for column in (trace.best_so_far, trace.population_best, trace.population_mean):
+            assert column.shape == (25,)
+        assert np.all(np.diff(trace.best_so_far) <= 0.0)
+        assert np.all(trace.best_so_far <= trace.population_best)
+        assert np.all(trace.population_best <= trace.population_mean)
 
     def test_bit_identical_repeat(self):
         config = make_config(population=10, dims=4, max_iters=30)
         t1 = run(config, sphere)
         t2 = run(config, sphere)
-        assert t1.records == t2.records
+        assert np.array_equal(t1.best_so_far, t2.best_so_far)
+        assert np.array_equal(t1.population_best, t2.population_best)
+        assert np.array_equal(t1.population_mean, t2.population_mean)
         assert np.array_equal(t1.final_best_position, t2.final_best_position)
 
-    def test_bounds_containment_with_position_dumps(self):
-        config = make_config(
-            population=8, dims=3, max_iters=40, g0=1e4, record_positions=True
-        )
-        trace = run(config, sphere)
-        assert trace.positions is not None and len(trace.positions) == 40
-        for snapshot in trace.positions:
-            assert np.all(snapshot >= config.lower_bound - 0.0)
-            assert np.all(snapshot <= config.upper_bound + 0.0)
-
-    def test_no_position_dumps_by_default(self):
-        assert run(make_config(max_iters=2), sphere).positions is None
+    def test_bounds_containment_every_step(self):
+        config = make_config(population=8, dims=3, max_iters=40, g0=1e4)
+        state = initialize(config, sphere)
+        for _ in range(40):
+            state = step(state, config, sphere)
+            assert np.all(state.positions >= config.lower_bound)
+            assert np.all(state.positions <= config.upper_bound)
 
     def test_sphere_improves(self):
         config = make_config(population=20, dims=5, max_iters=200, seed=3)
@@ -402,12 +415,12 @@ class TestRun:
             return np.zeros_like(positions)
 
         monkeypatch.setattr(engine, "forces", zero_forces)
-        config = make_config(population=6, dims=3, max_iters=5, record_positions=True)
-        state = initialize(config, sphere)
-        trace = run(config, sphere)
-        assert len(trace.records) == 5
-        for snapshot in trace.positions:
-            assert np.array_equal(snapshot, state.positions)
+        config = make_config(population=6, dims=3, max_iters=5)
+        start = initialize(config, sphere)
+        state = start
+        for _ in range(5):
+            state = step(state, config, sphere)
+            assert np.array_equal(state.positions, start.positions)
 
     def test_final_best_position_matches_value(self):
         config = make_config(population=10, dims=4, max_iters=50)

@@ -9,8 +9,6 @@ from gravopt import (
     GsaConfig,
     KernelSpec,
     ProbeReport,
-    ResultRow,
-    derive_seed,
     make_objective,
     run_grid,
     summarize,
@@ -20,7 +18,9 @@ from gravopt.experiments import (
     RESULTS_HEADER,
     SUMMARY_HEADER,
     TRACE_HEADER,
+    ResultRow,
     cell_config,
+    derive_seed,
     fnv1a64,
     format_float,
     write_probe_csv,

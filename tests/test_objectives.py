@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gravopt import ObjectiveSpec, evaluate, make_objective, objective_names
-from gravopt.objectives import ackley, rastrigin, rosenbrock, sphere
+from gravopt import make_objective, objective_names
+from gravopt.objectives import ObjectiveSpec, ackley, evaluate, rastrigin, rosenbrock, sphere
 
 BOUNDS = {"sphere": 100.0, "rastrigin": 5.12, "rosenbrock": 30.0, "ackley": 32.0}
 
