@@ -8,9 +8,12 @@ Linux; regenerate them only in a change that is meant to alter results.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from gravopt import GsaConfig, KernelSpec, make_objective, run
 from gravopt.cli import main as cli_main
+from gravopt.experiments import write_trace_csv
 
 RUN_ARGS = ["--pop", "10", "--dims", "4", "--iters", "50", "--seed", "2024"]
 
@@ -35,6 +38,15 @@ PROBE_DIGESTS = {
     "square": "9e8194614c9c5cc4e817b08a82904f180c3dbb02ae015a88f02b8e1c3de8fe85",
 }
 
+# kbest_initial_fraction = 0.3 leaves most agents outside Kbest, so their
+# rows of the force weight matrix hold no draws.
+PARTIAL_KBEST_DIGEST = "b9e9ec9e41569fab1ff10827d04c2a1f97ce887279b3555408c4cd7cf61e0f99"
+
+# A 600 x 30 swarm: every force evaluation spans many row blocks.
+LARGE_SWARM_ARGS = ["--kernel", "square", "--function", "rastrigin", "--pop", "600",
+                    "--dims", "30", "--iters", "5", "--seed", "2024"]
+LARGE_SWARM_DIGEST = "704bc7166bbe5b463c822518259b9dc6030efa55bae18ec3146c0c27b1d703fa"
+
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -56,3 +68,26 @@ def test_probe_digest(tmp_path, kernel):
     out = tmp_path / "probe.csv"
     assert cli_main(["probe", "--kernel", kernel, "--epsilon", "0", "--out", str(out)]) == 0
     assert digest(out) == PROBE_DIGESTS[kernel]
+
+
+def test_partial_kbest_trace_digest(tmp_path):
+    objective = make_objective("rastrigin", 4)
+    config = GsaConfig(
+        population=10,
+        dims=4,
+        lower_bound=np.full(4, objective.default_lower),
+        upper_bound=np.full(4, objective.default_upper),
+        kernel=KernelSpec.inverse_linear(),
+        max_iters=50,
+        kbest_initial_fraction=0.3,
+        seed=2024,
+    )
+    out = tmp_path / "trace.csv"
+    write_trace_csv(run(config, objective.function), config, out)
+    assert digest(out) == PARTIAL_KBEST_DIGEST
+
+
+def test_large_swarm_trace_digest(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert cli_main(["run", *LARGE_SWARM_ARGS, "--trace", str(out)]) == 0
+    assert digest(out) == LARGE_SWARM_DIGEST
