@@ -367,7 +367,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     positions = rng.uniform(-100.0, 100.0, (n, dims))
     masses = rng.random(n)
     masses /= masses.sum()
-    kbest = np.arange(n)
+    kbest = np.arange(n)  # every agent in Kbest: all n * (n - 1) pairs
     weights = np.ones((n, n))
     forces(positions, masses, 100.0, config.kernel, kbest, weights)  # warm-up
     evaluations = 0

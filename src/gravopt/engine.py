@@ -9,17 +9,24 @@ consumed in a fixed order so traces are bit-identical across machines:
 1. ``initialize``: population * dims uniforms fill the positions
    row-major (agent index ascending, dimension ascending).
 2. each ``step``, when ``deterministic_weights`` is false:
-   a. force weights: for each agent i in index order, one block of
-      uniforms, one per Kbest member j != i in ascending j order;
+   a. force weights: for each agent i in index order, one uniform per
+      Kbest member j != i in ascending j order;
    b. velocity coefficients: population * dims uniforms, row-major.
 
-With ``deterministic_weights`` set, no draws are consumed inside steps
-and every weight and velocity coefficient is exactly 1, which makes
+Step 2a is one ``rng.random`` call per step that fills the (n, k) weight
+matrix row-major through a mask that skips each agent's own column; the
+stream is consumed in exactly the order above. With
+``deterministic_weights`` set, no draws are consumed inside steps and
+every weight and velocity coefficient is exactly 1, which makes
 single-step oracle comparisons exact.
 
 Forces come from ``kernels.forces``, the one function that evaluates
 the force law: ``step`` calls it once per iteration with the Kbest
-members and the drawn weight matrix.
+members in ascending index order and the (n, k) weight matrix.
+
+An ``Objective`` evaluates the whole population at once: it maps an
+(n, d) array of positions, which it must not modify, to n fitness
+values, reducing over the last axis as the built-in benchmarks do.
 """
 
 from __future__ import annotations
@@ -40,11 +47,12 @@ MASS_SOFTENING = 1e-12
 #: Name of the random-generator algorithm, recorded in trace headers.
 RNG_NAME = "numpy-pcg64"
 
-Objective = Callable[[np.ndarray], float]
+Objective = Callable[[np.ndarray], np.ndarray]
 
 
 class EvaluationError(RuntimeError):
-    """The objective returned a non-finite value, or the mean fitness overflowed."""
+    """The objective returned a non-finite value or a wrongly shaped result,
+    or the mean fitness overflowed."""
 
 
 class DivergenceError(RuntimeError):
@@ -144,15 +152,21 @@ def kbest_indices(fitnesses: np.ndarray, k: int) -> np.ndarray:
 def _evaluate_population(
     objective: Objective, positions: np.ndarray, iteration: int
 ) -> np.ndarray:
-    fitnesses = np.empty(positions.shape[0])
-    for i in range(positions.shape[0]):
-        value = float(objective(positions[i].copy()))
-        if not math.isfinite(value):
-            raise EvaluationError(
-                f"objective returned non-finite value {value} for agent {i} "
-                f"at iteration {iteration}, position {positions[i].tolist()}"
-            )
-        fitnesses[i] = value
+    view = positions.view()
+    view.flags.writeable = False
+    fitnesses = np.array(objective(view), dtype=float)
+    if fitnesses.shape != positions.shape[:1]:
+        raise EvaluationError(
+            f"objective returned shape {fitnesses.shape} for {positions.shape[0]} agents "
+            f"at iteration {iteration}; it must map (n, d) positions to (n,) values"
+        )
+    finite = np.isfinite(fitnesses)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EvaluationError(
+            f"objective returned non-finite value {float(fitnesses[i])} for agent {i} "
+            f"at iteration {iteration}, position {positions[i].tolist()}"
+        )
     return fitnesses
 
 
@@ -189,18 +203,15 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
     k = kbest_size(
         state.iteration, config.max_iters, n, config.kbest_initial_fraction
     )
-    members = kbest_indices(state.fitnesses, k)
+    members = np.sort(kbest_indices(state.fitnesses, k))
 
-    weight_matrix = np.ones((n, n))
+    weights = np.ones((n, k))
     if not config.deterministic_weights:
-        sorted_members = np.sort(members)
-        for i in range(n):
-            js = sorted_members[sorted_members != i]
-            weight_matrix[i, js] = state.rng.random(js.size)
+        drawn = members[None, :] != np.arange(n)[:, None]
+        weights[drawn] = state.rng.random(np.count_nonzero(drawn))
 
     total = forces(
-        state.positions, state.masses, state.g_current, config.kernel,
-        members, weight_matrix,
+        state.positions, state.masses, state.g_current, config.kernel, members, weights
     )
     accel = total / (state.masses + MASS_SOFTENING)[:, None]
 

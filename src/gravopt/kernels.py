@@ -18,9 +18,16 @@ G * m_i * m_j / R**q:
 
 ``forces`` is the one function that evaluates this law: it sums the
 weighted pairwise forces from the Kbest set on every agent at once, as
-the GSA update does. The engine's step and ``probe_exponent`` both call
-it. ``probe_exponent`` measures a kernel's effective distance exponent
-empirically by fitting log magnitude against log distance.
+the GSA update does. Only the k Kbest members exert force, so it takes
+an (n, k) weight matrix whose column c belongs to member kbest[c] and
+builds differences against those k columns alone, never all n * n
+pairs. It walks the agents in row blocks of at most ``CHUNK_ELEMENTS``
+(agent, member, dimension) differences (one row when a single row holds
+more), so its working memory does not grow with the population; every
+row comes out bit for bit as it would from a single block. The engine's
+step, ``probe_exponent`` and ``cli bench`` call it. ``probe_exponent``
+measures a kernel's effective distance exponent empirically by fitting
+log magnitude against log distance.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import KernelSpec, ProbeReport
+
+#: Row-block budget of ``forces``, in (agent, Kbest member, dimension)
+#: differences: 8 MiB of float64.
+CHUNK_ELEMENTS = 1 << 20
 
 #: 25 logarithmically spaced probe distances spanning nine decades.
 DEFAULT_PROBE_DISTANCES: tuple[float, ...] = tuple(np.geomspace(1e-3, 1e6, 25))
@@ -50,28 +61,33 @@ def forces(
 ) -> np.ndarray:
     """Total force on every agent from the Kbest agents, shape (n, d).
 
-    Row i is the sum over j in ``kbest``, j != i, of weights[i, j] times
-    the kernel force on agent i from agent j. ``positions`` is (n, d),
-    ``masses`` (n,), ``weights`` (n, n). Coincident agents and zero-mass
-    pairs exert no force on each other; the pairwise terms are exactly
-    antisymmetric and always point from i toward j. Callers validate
-    their inputs.
+    Row i is the sum over c of weights[i, c] times the kernel force on
+    agent i from agent kbest[c], taken in the order of ``kbest``.
+    ``positions`` is (n, d), ``masses`` (n,), ``kbest`` (k,) agent
+    indices and ``weights`` (n, k). Self-pairs, coincident agents and
+    zero-mass pairs exert no force on each other; the pairwise terms are
+    exactly antisymmetric and always point from i toward j. Agents are
+    processed in row blocks of at most ``CHUNK_ELEMENTS`` differences.
+    Callers validate their inputs.
     """
-    n = positions.shape[0]
-    diff = positions[None, :, :] - positions[:, None, :]  # diff[i, j] = x_j - x_i
-    r = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-    # Grouping the mass product makes the matrix exactly symmetric, so
-    # pairwise forces are exactly antisymmetric and cancel in the sum.
-    num = g * (masses[:, None] * masses[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = num / (r ** (kernel.exponent + 1.0) + kernel.epsilon)
-    coeff[r == 0.0] = 0.0
-    coeff[num == 0.0] = 0.0
-    mask = np.zeros((n, n), dtype=bool)
-    mask[:, kbest] = True
-    np.fill_diagonal(mask, False)
-    coeff = np.where(mask, coeff * weights, 0.0)
-    total = np.einsum("ij,ijd->id", coeff, diff)
+    sources = positions[kbest]
+    source_masses = masses[kbest]
+    k, d = sources.shape
+    rows = max(1, CHUNK_ELEMENTS // max(k * d, 1))
+    total = np.empty(positions.shape)
+    for start in range(0, positions.shape[0], rows):
+        block = slice(start, start + rows)
+        diff = sources[None, :, :] - positions[block, None, :]  # diff[i, c] = x_kbest[c] - x_i
+        r = np.sqrt(np.einsum("icd,icd->ic", diff, diff))
+        # Grouping the mass product makes it exactly symmetric, so
+        # pairwise forces are exactly antisymmetric.
+        num = g * (masses[block, None] * source_masses[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coeff = num / (r ** (kernel.exponent + 1.0) + kernel.epsilon)
+        coeff[r == 0.0] = 0.0
+        coeff[num == 0.0] = 0.0
+        coeff *= weights[block]
+        np.einsum("ic,icd->id", coeff, diff, out=total[block])
     if not np.all(np.isfinite(total)):
         # R below the underflow scale of R**(q+1) with epsilon = 0
         raise ForceOverflowError("force overflow; increase epsilon")
@@ -114,7 +130,7 @@ def probe_exponent(
     positions[1:, 0] = rs
     masses = np.full(n, m_j)
     masses[0] = m_i
-    pulls = forces(positions, masses, g, kernel, np.array([0]), np.ones((n, n)))[1:]
+    pulls = forces(positions, masses, g, kernel, np.array([0]), np.ones((n, 1)))[1:]
     magnitudes = np.sqrt(np.einsum("kd,kd->k", pulls, pulls))
     if np.any(magnitudes == 0.0):
         raise ValueError("zero force magnitude encountered during probe")

@@ -3,6 +3,11 @@
 All four are minimized; the global optimum value is 0 (sphere, rastrigin
 and ackley at the origin, rosenbrock at the all-ones point). Each carries
 its customary symmetric box bounds.
+
+Each function maps (..., d) -> (...) by reducing over the last axis, so
+one call evaluates a whole (n, d) population; on a single (d,) point it
+returns a numpy float64 scalar. Row i of a batched call equals the call
+on row i alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,33 +18,32 @@ from typing import Callable
 import numpy as np
 
 
-def sphere(x: np.ndarray) -> float:
+def sphere(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
-def rastrigin(x: np.ndarray) -> float:
+def rastrigin(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return float(np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0))
+    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
 
 
-def rosenbrock(x: np.ndarray) -> float:
+def rosenbrock(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
-def ackley(x: np.ndarray) -> float:
+def ackley(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    n = x.size
-    s1 = np.sum(x * x)
-    s2 = np.sum(np.cos(2.0 * np.pi * x))
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(s1 / n)) - np.exp(s2 / n) + 20.0 + np.e
-    )
+    n = x.shape[-1]
+    s1 = np.sum(x * x, axis=-1)
+    s2 = np.sum(np.cos(2.0 * np.pi * x), axis=-1)
+    return -20.0 * np.exp(-0.2 * np.sqrt(s1 / n)) - np.exp(s2 / n) + 20.0 + np.e
 
 
 # name -> (function, symmetric half-width of the default box)
-_REGISTRY: dict[str, tuple[Callable[[np.ndarray], float], float]] = {
+_REGISTRY: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] = {
     "sphere": (sphere, 100.0),
     "rastrigin": (rastrigin, 5.12),
     "rosenbrock": (rosenbrock, 30.0),
@@ -70,7 +74,7 @@ class ObjectiveSpec:
             raise ValueError("dims >= 1 required")
 
     @property
-    def function(self) -> Callable[[np.ndarray], float]:
+    def function(self) -> Callable[[np.ndarray], np.ndarray]:
         return _REGISTRY[self.name][0]
 
 
@@ -94,4 +98,4 @@ def evaluate(spec: ObjectiveSpec, x) -> float:
         raise ValueError(f"expected a vector of length {spec.dims}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("objective input must be finite")
-    return spec.function(arr)
+    return float(spec.function(arr))

@@ -285,6 +285,10 @@ class TestBenchCommand:
         rate = float(lines[0].split("=")[-1])
         assert rate > 0
 
+    def test_smallest_swarm(self, capsys):
+        assert cli.main(["bench", "--pop", "2"]) == 0
+        assert "pairs_per_second=" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv, message",
         [(["--pop", "1"], "population >= 2"), (["--dims", "0"], "dims >= 1")],

@@ -158,7 +158,7 @@ class TestInitialize:
         config = make_config()
 
         def bad(x):
-            return math.inf if x[0] > 0 else 0.0
+            return np.where(x[:, 0] > 0, math.inf, 0.0)
 
         with pytest.raises(EvaluationError, match="agent"):
             initialize(config, bad)
@@ -170,11 +170,31 @@ class TestInitialize:
         def nan_from_step_3(x):
             nonlocal calls
             calls += 1
-            return math.nan if calls > 3 * config.population + 1 else sphere(x)
+            values = sphere(x)
+            if calls > 3:
+                values[1:] = math.nan
+            return values
 
-        # initialize and two steps evaluate cleanly; agent 1 of step 3 fails
+        # initialize and two steps evaluate cleanly; in step 3 agent 1 is
+        # the first of several bad agents
         with pytest.raises(EvaluationError, match=r"agent 1 at iteration 3,"):
             run(config, nan_from_step_3)
+
+    @pytest.mark.parametrize(
+        "wrong", [lambda x: np.sum(x * x), lambda x: sphere(x)[:, None], lambda x: sphere(x)[1:]]
+    )
+    def test_wrongly_shaped_objective_rejected(self, wrong):
+        # a scalar or an (n, 1) column would broadcast into n fitnesses
+        with pytest.raises(EvaluationError, match=r"returned shape .* for 5 agents"):
+            initialize(make_config(population=5), wrong)
+
+    def test_objective_cannot_modify_positions(self):
+        def shifts_in_place(x):
+            x += 1.0
+            return sphere(x)
+
+        with pytest.raises(ValueError, match="read-only"):
+            initialize(make_config(), shifts_in_place)
 
 
 def full_kbest_forces(state, kernel):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gravopt.kernels as kernels
 from gravopt import ForceOverflowError, KernelSpec, forces, probe_exponent
 
 ALL_KERNELS_EPS0 = [
@@ -281,18 +282,34 @@ class TestForces:
         masses = rng.random(n)
         g = 10.0 ** rng.uniform(-3.0, 3.0)
         kbest = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
-        weights = rng.random((n, n))
+        weights = rng.random((n, kbest.size))
         got = forces(positions, masses, g, KernelSpec.power_law(q, epsilon), kbest, weights)
         expected = np.zeros((n, dims))
         for i in range(n):
-            for j in kbest:
+            for c, j in enumerate(kbest):
                 delta = positions[j] - positions[i]
                 r = math.sqrt(float(np.sum(delta * delta)))
                 if j == i or r == 0.0:
                     continue
                 expected[i] += (
-                    weights[i, j] * g * (masses[i] * masses[j])
+                    weights[i, c] * g * (masses[i] * masses[j])
                     / (r ** (q + 1.0) + epsilon) * delta
                 )
         scale = float(np.max(np.abs(expected))) or 1.0
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS_EPS0, ids=lambda k: k.name)
+    @pytest.mark.parametrize("chunk", [1, 9, 18, 27, 50])
+    def test_row_blocks_match_one_block(self, monkeypatch, kernel, chunk):
+        # k * d = 9, so blocks hold 1, 1, 2, 3 and 5 rows; with 3 rows
+        # member 2 ends the first block and member 3 starts the second
+        rng = np.random.Generator(np.random.PCG64(21))
+        positions = rng.uniform(-10.0, 10.0, (10, 3))
+        positions[5] = positions[3]  # a non-member coincides with a member
+        masses = rng.random(10)
+        kbest = np.array([2, 3, 7])
+        weights = rng.random((10, 3))
+        whole = forces(positions, masses, 3.0, kernel, kbest, weights)
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", chunk)
+        assert np.array_equal(forces(positions, masses, 3.0, kernel, kbest, weights), whole)
+        assert np.all(whole[5] != 0.0) and np.all(np.isfinite(whole))

@@ -66,6 +66,19 @@ class TestInvariants:
             np.testing.assert_allclose(numeric, analytic, rtol=1e-6, atol=1e-6)
 
 
+class TestBatched:
+    @pytest.mark.parametrize("dims", [1, 2, 8, 30, 129])
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_population_matches_rows(self, name, dims):
+        # 129 crosses numpy's 128-element pairwise-summation block
+        fn = make_objective(name, dims).function
+        rng = np.random.Generator(np.random.PCG64(dims))
+        x = rng.uniform(-BOUNDS[name], BOUNDS[name], (7, dims))
+        batched = fn(x)
+        assert batched.shape == (7,)
+        assert np.array_equal(batched, [fn(row) for row in x])
+
+
 class TestSpecAndEvaluate:
     def test_registry_names(self):
         assert set(objective_names()) == set(BOUNDS)
@@ -97,6 +110,10 @@ class TestSpecAndEvaluate:
     def test_evaluate_non_finite_input(self):
         with pytest.raises(ValueError):
             evaluate(make_objective("sphere", 2), [1.0, math.nan])
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_evaluate_returns_python_float(self, name):
+        assert type(evaluate(make_objective(name, 3), [0.5, -1.0, 2.0])) is float
 
     def test_evaluate_matches_function(self):
         spec = make_objective("rosenbrock", 4)
