@@ -23,11 +23,11 @@ an (n, k) weight matrix whose column c belongs to member kbest[c] and
 builds differences against those k columns alone, never all n * n
 pairs. It walks the agents in row blocks of at most ``CHUNK_ELEMENTS``
 (agent, member, dimension) differences (one row when a single row holds
-more), so its working memory does not grow with the population; every
-row comes out bit for bit as it would from a single block. The engine's
-step, ``probe_exponent`` and ``cli bench`` call it. ``probe_exponent``
-measures a kernel's effective distance exponent empirically by fitting
-log magnitude against log distance.
+more), so the difference block it holds does not grow with the
+population; every row comes out bit for bit as from a single block.
+The engine's step, ``probe_exponent`` and ``cli bench`` call it.
+``probe_exponent`` measures a kernel's effective distance exponent
+empirically by fitting log magnitude against log distance.
 """
 
 from __future__ import annotations

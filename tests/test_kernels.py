@@ -300,11 +300,12 @@ class TestForces:
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS_EPS0, ids=lambda k: k.name)
     @pytest.mark.parametrize("chunk", [1, 9, 18, 27, 50])
-    def test_row_blocks_match_one_block(self, monkeypatch, kernel, chunk):
-        # k * d = 9, so blocks hold 1, 1, 2, 3 and 5 rows; with 3 rows
-        # member 2 ends the first block and member 3 starts the second
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_row_blocks_match_one_block(self, monkeypatch, kernel, chunk, dims):
+        # with 3 dims k * d = 9, so blocks hold 1, 1, 2, 3 and 5 rows; with
+        # 3 rows member 2 ends the first block and member 3 starts the second
         rng = np.random.Generator(np.random.PCG64(21))
-        positions = rng.uniform(-10.0, 10.0, (10, 3))
+        positions = rng.uniform(-10.0, 10.0, (10, dims))
         positions[5] = positions[3]  # a non-member coincides with a member
         masses = rng.random(10)
         kbest = np.array([2, 3, 7])
