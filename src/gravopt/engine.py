@@ -37,6 +37,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# Loaded with the module, not by the first run: numpy.random's
+# long-lived module data, loaded mid-process, lands inside whatever heap
+# the process has built by then, so a long-lived caller's peak RSS would
+# depend on when its first run started.
+from numpy.random import PCG64, Generator
+
 from .core import GsaConfig, RunTrace, validate_config
 from .kernels import forces
 
@@ -59,9 +65,9 @@ class DivergenceError(RuntimeError):
     """The dynamics produced non-finite positions or velocities."""
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def make_rng(seed: int) -> Generator:
     """The run generator: PCG64 seeded directly with the config seed."""
-    return np.random.Generator(np.random.PCG64(seed))
+    return Generator(PCG64(seed))
 
 
 @dataclass
@@ -81,7 +87,7 @@ class SwarmState:
     g_current: float
     best_so_far_fitness: float
     best_so_far_position: np.ndarray
-    rng: np.random.Generator
+    rng: Generator
 
     @property
     def population(self) -> int:

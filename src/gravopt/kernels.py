@@ -73,11 +73,17 @@ def forces(
     sources = positions[kbest]
     source_masses = masses[kbest]
     k, d = sources.shape
+    n = positions.shape[0]
     rows = max(1, CHUNK_ELEMENTS // max(k * d, 1))
     total = np.empty(positions.shape)
-    for start in range(0, positions.shape[0], rows):
+    # Every block writes its differences into the same buffer, so a call
+    # allocates it once, not once per block.
+    buffer = np.empty((min(rows, n), k, d))
+    for start in range(0, n, rows):
         block = slice(start, start + rows)
-        diff = sources[None, :, :] - positions[block, None, :]  # diff[i, c] = x_kbest[c] - x_i
+        diff = buffer[: min(rows, n - start)]
+        # diff[i, c] = x_kbest[c] - x_i
+        np.subtract(sources[None, :, :], positions[block, None, :], out=diff)
         r = np.sqrt(np.einsum("icd,icd->ic", diff, diff))
         # Grouping the mass product makes it exactly symmetric, so
         # pairwise forces are exactly antisymmetric.
