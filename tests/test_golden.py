@@ -47,6 +47,15 @@ LARGE_SWARM_ARGS = ["--kernel", "square", "--function", "rastrigin", "--pop", "6
                     "--dims", "30", "--iters", "5", "--seed", "2024"]
 LARGE_SWARM_DIGEST = "704bc7166bbe5b463c822518259b9dc6030efa55bae18ec3146c0c27b1d703fa"
 
+# With dims = 1 the force sum over Kbest columns reduces a 1-wide axis,
+# which numpy's einsum groups differently from the d >= 2 case.
+ONE_DIM_ARGS = ["--function", "rastrigin", "--pop", "10", "--dims", "1", "--iters", "50",
+                "--seed", "2024"]
+ONE_DIM_DIGESTS = {
+    "original": "10c887d94aae77cf6598939a04a19819624f600e0fcaa9ee5051fcc41f4b4590",
+    "square": "18491963085fa2ed24ba3bde90f75efbffe2c84a1c0e35d78beec3324669ee03",
+}
+
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -91,3 +100,10 @@ def test_large_swarm_trace_digest(tmp_path):
     out = tmp_path / "trace.csv"
     assert cli_main(["run", *LARGE_SWARM_ARGS, "--trace", str(out)]) == 0
     assert digest(out) == LARGE_SWARM_DIGEST
+
+
+@pytest.mark.parametrize("kernel", sorted(ONE_DIM_DIGESTS))
+def test_one_dim_trace_digest(tmp_path, kernel):
+    out = tmp_path / "trace.csv"
+    assert cli_main(["run", "--kernel", kernel, *ONE_DIM_ARGS, "--trace", str(out)]) == 0
+    assert digest(out) == ONE_DIM_DIGESTS[kernel]
