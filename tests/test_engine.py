@@ -259,8 +259,8 @@ class TestTotalForce:
                     )
 
 
-def oracle_initialize_and_step(config, objective):
-    """Independent re-derivation of one init + one step from the stated rules."""
+def oracle_initialize(config, objective):
+    """Independent re-derivation of ``initialize`` from the stated rules."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n, d = config.population, config.dims
     lower = np.asarray(config.lower_bound)
@@ -273,49 +273,74 @@ def oracle_initialize_and_step(config, objective):
     else:
         raw = (worst - fits) / (worst - best)
         masses = raw / raw.sum()
-    g = config.g0 * math.exp(-config.alpha * 0 / config.max_iters)
+    return engine.SwarmState(
+        positions=positions,
+        velocities=np.zeros((n, d)),
+        fitnesses=fits,
+        masses=masses,
+        iteration=0,
+        g_current=config.g0 * math.exp(-config.alpha * 0 / config.max_iters),
+        best_so_far_fitness=float(best),
+        best_so_far_position=positions[int(np.argmin(fits))].copy(),
+        rng=rng,
+    )
+
+
+def oracle_step(state, config):
+    """Independent re-derivation of one step from ``state`` by the stated rules.
+
+    Draws one uniform at a time from a copy of the state's generator, in
+    the documented order, and leaves ``state`` untouched. Returns the
+    clipped positions, the velocities and the copied generator.
+    """
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state.rng.bit_generator.state
+    n, d = state.positions.shape
+    positions, masses, g = state.positions, state.masses, state.g_current
+    lower = np.asarray(config.lower_bound)
+    upper = np.asarray(config.upper_bound)
 
     k0 = math.ceil(config.kbest_initial_fraction * n - 1e-9)
+    k0 = min(max(k0, 1), n)
     if config.max_iters <= 1:
         k = k0
     else:
-        k = math.floor(k0 + (1 - k0) * (0 / (config.max_iters - 1)) + 0.5)
-    members = sorted(np.argsort(fits, kind="stable")[:k].tolist())
+        span = state.iteration / (config.max_iters - 1)
+        k = min(max(math.floor(k0 + (1 - k0) * span + 0.5), 1), n)
+    members = sorted(sorted(range(n), key=lambda i: (state.fitnesses[i], i))[:k])
 
     q, eps = config.kernel.exponent, config.kernel.epsilon
-    weights = {}
-    if not config.deterministic_weights:
-        for i in range(n):
-            js = [j for j in members if j != i]
-            for j, w in zip(js, rng.random(len(js))):
-                weights[(i, j)] = w
     forces = np.zeros((n, d))
     for i in range(n):
         for j in members:
             if j == i:
                 continue
+            w = 1.0 if config.deterministic_weights else rng.random()
             delta = positions[j] - positions[i]
             r = math.sqrt(float(np.sum(delta * delta)))
             if r == 0.0:
                 continue
-            w = 1.0 if config.deterministic_weights else weights[(i, j)]
             forces[i] += w * g * (masses[i] * masses[j]) / (r ** (q + 1.0) + eps) * delta
     accel = forces / (masses + 1e-12)[:, None]
-    if config.deterministic_weights:
-        velocities = accel.copy()
-    else:
-        velocities = rng.random((n, d)) * np.zeros((n, d)) + accel
-    moved = positions + velocities
-    clipped = np.clip(moved, lower, upper)
-    velocities = np.where(clipped != moved, 0.0, velocities)
-    return clipped, velocities
+
+    new_positions = np.empty((n, d))
+    velocities = np.empty((n, d))
+    for i in range(n):
+        for c in range(d):
+            coeff = 1.0 if config.deterministic_weights else rng.random()
+            v = coeff * state.velocities[i, c] + accel[i, c]
+            moved = positions[i, c] + v
+            clipped = min(max(moved, lower[c]), upper[c])
+            new_positions[i, c] = clipped
+            velocities[i, c] = 0.0 if clipped != moved else v
+    return new_positions, velocities, rng
 
 
 class TestStep:
     def test_matches_scripted_oracle_stochastic(self):
         config = make_config(population=5, dims=2, seed=77, deterministic_weights=False)
         state = step(initialize(config, sphere), config, sphere)
-        expected_pos, expected_vel = oracle_initialize_and_step(config, sphere)
+        expected_pos, expected_vel, _ = oracle_step(oracle_initialize(config, sphere), config)
         np.testing.assert_allclose(state.positions, expected_pos, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(state.velocities, expected_vel, rtol=1e-12, atol=1e-12)
         assert state.iteration == 1
@@ -323,9 +348,99 @@ class TestStep:
     def test_matches_scripted_oracle_deterministic(self):
         config = make_config(population=6, dims=3, seed=5, deterministic_weights=True)
         state = step(initialize(config, sphere), config, sphere)
-        expected_pos, expected_vel = oracle_initialize_and_step(config, sphere)
+        expected_pos, expected_vel, _ = oracle_step(oracle_initialize(config, sphere), config)
         np.testing.assert_allclose(state.positions, expected_pos, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(state.velocities, expected_vel, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        d=st.integers(1, 5),
+        q=st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 3.0),
+        epsilon=st.sampled_from([0.0, 1e-12]) | st.floats(1e-9, 1.0),
+        fraction=st.floats(0.01, 1.0),
+        deterministic=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_oracle_from_any_state(
+        self, n, d, q, epsilon, fraction, deterministic, seed
+    ):
+        config = make_config(
+            population=n,
+            dims=d,
+            kernel=KernelSpec.power_law(q, epsilon),
+            kbest_initial_fraction=fraction,
+            deterministic_weights=deterministic,
+            seed=seed,
+        )
+        rng = np.random.default_rng(seed)
+        lower, upper = config.lower_bound, config.upper_bound
+        positions = rng.uniform(lower, upper, (n, d))
+        velocities = rng.normal(0.0, 2.0, (n, d))
+        # About a third of the components sit on a bound and move outward,
+        # so the step clips them; in one dimension agents on the same bound
+        # coincide.
+        edge = rng.random((n, d)) < 0.3
+        side = np.where(rng.random((n, d)) < 0.5, lower, upper)
+        positions[edge] = side[edge]
+        velocities[edge] = np.sign(side[edge]) * rng.uniform(0.5, 2.0, np.count_nonzero(edge))
+        fitnesses = sphere(positions)
+        best = int(np.argmin(fitnesses))
+        state = engine.SwarmState(
+            positions=positions,
+            velocities=velocities,
+            fitnesses=fitnesses,
+            masses=compute_masses(fitnesses),
+            iteration=int(rng.integers(0, config.max_iters)),
+            g_current=float(10.0 ** rng.uniform(-2.0, 2.0)),
+            best_so_far_fitness=float(fitnesses[best]),
+            best_so_far_position=positions[best].copy(),
+            rng=engine.make_rng(seed),
+        )
+        expected_pos, expected_vel, expected_rng = oracle_step(state, config)
+        got = step(state, config, sphere)
+        scale = max(1.0, float(np.max(np.abs(expected_vel))))
+        np.testing.assert_allclose(got.positions, expected_pos, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(got.velocities, expected_vel, rtol=1e-12, atol=1e-12 * scale)
+        assert got.rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        d=st.integers(1, 4),
+        fraction=st.floats(0.01, 1.0),
+        iteration=st.integers(0, 9),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_weight_draw_order(self, n, d, fraction, iteration, seed):
+        config = make_config(population=n, dims=d, kbest_initial_fraction=fraction, seed=seed)
+        state = replace(initialize(config, sphere), iteration=iteration)
+        k = kbest_size(iteration, config.max_iters, n, fraction)
+        fits = state.fitnesses
+        members = sorted(sorted(range(n), key=lambda i: (fits[i], i))[:k])
+        naive = np.random.Generator(np.random.PCG64())
+        naive.bit_generator.state = state.rng.bit_generator.state
+        expected = np.ones((n, k))
+        for i in range(n):
+            for c, j in enumerate(members):
+                if j != i:
+                    expected[i, c] = naive.random()
+        for _ in range(n * d):
+            naive.random()
+
+        captured = {}
+
+        def capture(positions, masses, g, kernel, kbest, weights):
+            captured["kbest"] = kbest.copy()
+            captured["weights"] = weights.copy()
+            return np.zeros_like(positions)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "forces", capture)
+            after = step(state, config, sphere)
+        assert captured["kbest"].tolist() == members
+        assert np.array_equal(captured["weights"], expected)
+        assert after.rng.bit_generator.state == naive.bit_generator.state
 
     def test_equilateral_triangle_symmetry(self):
         # equal masses at the vertices: forces point at the centroid and the
@@ -383,6 +498,26 @@ class TestStep:
         monkeypatch.setattr(engine, "forces", infinite_forces)
         with pytest.raises(DivergenceError, match="at iteration 2;"):
             step(state, config, sphere)
+
+    def test_nan_forces_diverge(self, monkeypatch):
+        config = make_config(max_iters=10)
+        state = step(initialize(config, sphere), config, sphere)
+
+        def nan_forces(positions, masses, g, kernel, kbest, weights):
+            return np.full_like(positions, math.nan)
+
+        monkeypatch.setattr(engine, "forces", nan_forces)
+        with pytest.raises(DivergenceError, match="at iteration 2;"):
+            step(state, config, sphere)
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_nan_velocity_diverges(self, deterministic):
+        config = make_config(max_iters=10, deterministic_weights=deterministic)
+        state = step(initialize(config, sphere), config, sphere)
+        velocities = state.velocities.copy()
+        velocities[2, 1] = math.nan
+        with pytest.raises(DivergenceError, match="at iteration 2;"):
+            step(replace(state, velocities=velocities), config, sphere)
 
     def test_mass_normalization_every_step(self):
         config = make_config(population=8, dims=4, max_iters=20)
