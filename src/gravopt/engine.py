@@ -13,9 +13,11 @@ consumed in a fixed order so traces are bit-identical across machines:
       Kbest member j != i in ascending j order;
    b. velocity coefficients: population * dims uniforms, row-major.
 
-Step 2a is one ``rng.random`` call per step that fills the (n, k) weight
-matrix row-major through a mask that skips each agent's own column; the
-stream is consumed in exactly the order above. With
+Step 2a is one ``rng.random`` call per step for all n * k - k weights.
+They fill the (n, k) weight matrix row-major through a flat mask that
+skips each member's own column (flat index ``members * k + c`` for
+column c) and holds 1 there, so the stream is consumed in exactly the
+order above. With
 ``deterministic_weights`` set, no draws are consumed inside steps and
 every weight and velocity coefficient is exactly 1, which makes
 single-step oracle comparisons exact.
@@ -109,7 +111,7 @@ def compute_masses(fitnesses: Sequence[float]) -> np.ndarray:
     fits = np.asarray(fitnesses, dtype=float)
     if fits.ndim != 1 or fits.size < 2:
         raise ValueError("compute_masses needs at least two fitness values")
-    if not np.all(np.isfinite(fits)):
+    if not np.isfinite(fits).all():
         raise ValueError("fitness values must be finite")
     best = fits.min()
     worst = fits.max()
@@ -211,31 +213,38 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
     )
     members = np.sort(kbest_indices(state.fitnesses, k))
 
-    weights = np.ones((n, k))
+    weights = np.ones(n * k)
     if not config.deterministic_weights:
-        drawn = members[None, :] != np.arange(n)[:, None]
-        weights[drawn] = state.rng.random(np.count_nonzero(drawn))
+        drawn = np.ones(n * k, dtype=bool)
+        # Flat index of each member's own column: row members[c], column c.
+        drawn[members * k + np.arange(k)] = False
+        weights[drawn] = state.rng.random(n * k - k)
+    weights = weights.reshape(n, k)
 
-    total = forces(
+    accel = forces(
         state.positions, state.masses, state.g_current, config.kernel, members, weights
     )
-    accel = total / (state.masses + MASS_SOFTENING)[:, None]
+    accel /= (state.masses + MASS_SOFTENING)[:, None]
 
     if config.deterministic_weights:
         velocities = state.velocities + accel
     else:
-        velocities = state.rng.random((n, d)) * state.velocities + accel
+        velocities = state.rng.random((n, d))
+        velocities *= state.velocities
+        velocities += accel
     raw = state.positions + velocities
-    if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(velocities))):
+    # Positions are always finite, so raw is finite exactly when the
+    # velocities are.
+    if not np.isfinite(raw).all():
         raise DivergenceError(
             f"dynamics diverged at iteration {iteration}; increase epsilon or reduce g0"
         )
-    positions = np.clip(raw, config.lower_bound, config.upper_bound)
-    velocities = np.where(positions != raw, 0.0, velocities)
+    positions = np.minimum(np.maximum(raw, config.lower_bound), config.upper_bound)
+    velocities[positions != raw] = 0.0
 
     fitnesses = _evaluate_population(objective, positions, iteration)
     masses = compute_masses(fitnesses)
-    best = int(np.argmin(fitnesses))
+    best = int(fitnesses.argmin())
     if fitnesses[best] < state.best_so_far_fitness:
         best_fitness = float(fitnesses[best])
         best_position = positions[best].copy()

@@ -25,6 +25,10 @@ pairs. It walks the agents in row blocks of at most ``CHUNK_ELEMENTS``
 (agent, member, dimension) differences (one row when a single row holds
 more), so the difference block it holds does not grow with the
 population; every row comes out bit for bit as from a single block.
+Each block is filled contiguously: every (k, d) row is first set to its
+agent's position, then subtracted from the Kbest positions in place, so
+the subtraction runs over k * d contiguous elements instead of d at a
+time; each difference is still the one IEEE subtraction x_j - x_i.
 The engine's step, ``probe_exponent`` and ``cli bench`` call it.
 ``probe_exponent`` measures a kernel's effective distance exponent
 empirically by fitting log magnitude against log distance.
@@ -75,26 +79,30 @@ def forces(
     k, d = sources.shape
     n = positions.shape[0]
     rows = max(1, CHUNK_ELEMENTS // max(k * d, 1))
+    power = kernel.exponent + 1.0
     total = np.empty(positions.shape)
     # Every block writes its differences into the same buffer, so a call
     # allocates it once, not once per block.
     buffer = np.empty((min(rows, n), k, d))
     for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        diff = buffer[: min(rows, n - start)]
-        # diff[i, c] = x_kbest[c] - x_i
-        np.subtract(sources[None, :, :], positions[block, None, :], out=diff)
-        r = np.sqrt(np.einsum("icd,icd->ic", diff, diff))
+        stop = min(start + rows, n)
+        diff = buffer[: stop - start]
+        # diff[i, c] = x_kbest[c] - x_i: fill every row with x_i, then
+        # subtract it from the sources over contiguous runs of k * d.
+        np.copyto(diff, positions[start:stop, None, :])
+        np.subtract(sources, diff, out=diff)
+        r = np.einsum("icd,icd->ic", diff, diff)
+        np.sqrt(r, out=r)
         # Grouping the mass product makes it exactly symmetric, so
         # pairwise forces are exactly antisymmetric.
-        num = g * (masses[block, None] * source_masses[None, :])
+        num = masses[start:stop, None] * source_masses
+        num *= g
         with np.errstate(divide="ignore", invalid="ignore"):
-            coeff = num / (r ** (kernel.exponent + 1.0) + kernel.epsilon)
-        coeff[r == 0.0] = 0.0
-        coeff[num == 0.0] = 0.0
-        coeff *= weights[block]
-        np.einsum("ic,icd->id", coeff, diff, out=total[block])
-    if not np.all(np.isfinite(total)):
+            coeff = num / (r ** power + kernel.epsilon)
+        coeff[(r == 0.0) | (num == 0.0)] = 0.0
+        coeff *= weights[start:stop]
+        np.einsum("ic,icd->id", coeff, diff, out=total[start:stop])
+    if not np.isfinite(total).all():
         # R below the underflow scale of R**(q+1) with epsilon = 0
         raise ForceOverflowError("force overflow; increase epsilon")
     return total
