@@ -1,11 +1,16 @@
-"""Command-line front end: run / probe / compare / bench.
+"""Command-line front end: run / probe / compare.
 
 Settings resolve in three layers: built-in defaults, then the JSON file
 given with --config, then explicit flags. The JSON file mirrors GsaConfig
 field names one-to-one in snake_case (kernel is either a name string
 such as "square" or "power:1.5", or an object {"kind", "exponent",
 "epsilon"}); it may additionally carry "function", "repetitions" and
-"probe_r_values". Unknown flags and unknown config keys are rejected.
+"probe_r_values". Each flag stores its value under the settings key it
+sets (--pop under "population", --iters under "max_iters"), so DEFAULTS
+declares a setting once for flags and config file alike. Unknown flags
+and unknown config keys are rejected, and so are config values of the
+wrong JSON type: a non-integral count or seed, a non-boolean
+"deterministic_weights".
 
 Exit codes: 0 success, 2 usage error, 3 numeric divergence or force
 overflow, 4 I/O failure.
@@ -17,13 +22,12 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .core import DEFAULT_EPSILON, ConfigError, GsaConfig, KernelSpec, validate_config
-from .engine import DivergenceError, EvaluationError, make_rng, run
+from .engine import DivergenceError, EvaluationError, run
 from .experiments import (
     ExperimentPlan,
     format_float,
@@ -34,7 +38,7 @@ from .experiments import (
     write_summary_csv,
     write_trace_csv,
 )
-from .kernels import DEFAULT_PROBE_DISTANCES, ForceOverflowError, forces, probe_exponent
+from .kernels import DEFAULT_PROBE_DISTANCES, ForceOverflowError, probe_exponent
 from .objectives import make_objective, objective_names
 
 EXIT_OK = 0
@@ -59,37 +63,10 @@ DEFAULTS = {
     "kbest_initial_fraction": 1.0,
 }
 
-_CONFIG_FILE_KEYS = {
-    "population",
-    "dims",
-    "lower_bound",
-    "upper_bound",
-    "kernel",
-    "g0",
-    "alpha",
-    "max_iters",
-    "kbest_initial_fraction",
-    "deterministic_weights",
-    "seed",
-    "function",
-    "repetitions",
-    "probe_r_values",
-}
-
-# CLI dest -> canonical settings key
-_FLAG_TO_SETTING = {
-    "kernel": "kernel",
-    "epsilon": "epsilon",
-    "g0": "g0",
-    "alpha": "alpha",
-    "pop": "population",
-    "dims": "dims",
-    "iters": "max_iters",
-    "seed": "seed",
-    "function": "function",
-    "reps": "repetitions",
-    "deterministic": "deterministic_weights",
-}
+# Every setting but epsilon (which a config file sets inside "kernel"),
+# plus the file-only bounds and probe grid.
+_CONFIG_FILE_KEYS = (set(DEFAULTS) - {"epsilon"}) | {"lower_bound", "upper_bound", "probe_r_values"}
+_INTEGER_KEYS = ("population", "dims", "max_iters", "seed", "repetitions")
 
 
 def parse_kernel(text: str, epsilon: float) -> KernelSpec:
@@ -125,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
             "the built-in defaults."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{run,probe,compare,bench}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{run,probe,compare}")
 
     def add(p, *names, **kwargs):
         kwargs.setdefault("default", argparse.SUPPRESS)
@@ -134,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_numeric(p):
         add(p, "--g0", type=float, help="initial gravitational constant (default: 100.0)")
         add(p, "--alpha", type=float, help="decay rate of the G schedule (default: 20.0)")
-        add(p, "--pop", type=int, help="population size (default: 50)")
+        add(p, "--pop", type=int, dest="population", help="population size (default: 50)")
         add(p, "--dims", type=int, help="search-space dimensionality (default: 30)")
-        add(p, "--iters", type=int, help="iteration budget (default: 1000)")
+        add(p, "--iters", type=int, dest="max_iters", help="iteration budget (default: 1000)")
         add(p, "--seed", type=int, help="64-bit unsigned RNG seed (default: 42)")
 
     def add_kernel(p):
@@ -155,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_numeric(p_run)
     add(p_run, "--function", help="objective: " + ", ".join(objective_names())
         + " (default: sphere)")
-    add(p_run, "--deterministic", action="store_true",
+    add(p_run, "--deterministic", action="store_true", dest="deterministic_weights",
         help="disable stochastic force/velocity weighting (default: off)")
     add(p_run, "--trace", help="trace CSV output path (default: stdout)")
     add_config(p_run)
@@ -177,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     add(p_compare, "--epsilon", type=float,
         help="softening constant for all compared kernels (default: 1e-12)")
     add_common_numeric(p_compare)
-    add(p_compare, "--reps", type=int, help="repetitions per cell (default: 25)")
-    add(p_compare, "--deterministic", action="store_true",
+    add(p_compare, "--reps", type=int, dest="repetitions",
+        help="repetitions per cell (default: 25)")
+    add(p_compare, "--deterministic", action="store_true", dest="deterministic_weights",
         help="disable stochastic force/velocity weighting (default: off)")
     add(p_compare, "--out",
         help="results CSV path; the summary CSV lands next to it with an "
@@ -188,15 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     add(p_compare, "--jobs", type=int,
         help="worker processes for the grid; 0 = one per CPU (default: 0)")
     add_config(p_compare)
-
-    p_bench = sub.add_parser(
-        "bench", help="force-evaluation throughput, one line to stdout"
-    )
-    add_kernel(p_bench)
-    add(p_bench, "--pop", type=int, help="population size (default: 50)")
-    add(p_bench, "--dims", type=int, help="search-space dimensionality (default: 30)")
-    add(p_bench, "--seed", type=int, help="64-bit unsigned RNG seed (default: 42)")
-    add_config(p_bench)
 
     return parser
 
@@ -215,6 +184,17 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(
             "unknown config keys: " + ", ".join(sorted(unknown))
             + "; valid keys: " + ", ".join(sorted(_CONFIG_FILE_KEYS))
+        )
+    for key in _INTEGER_KEYS:
+        value = data.get(key, 0)
+        if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        ):
+            raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
+    if not isinstance(data.get("deterministic_weights", False), bool):
+        raise ConfigError(
+            "config key 'deterministic_weights' must be true or false, "
+            f"got {data['deterministic_weights']!r}"
         )
     return data
 
@@ -248,9 +228,7 @@ def _merged_settings(args: argparse.Namespace) -> dict:
                 settings["kernel"] = str(kernel_value)
         settings.update(file_settings)
 
-    for dest, key in _FLAG_TO_SETTING.items():
-        if dest in given:
-            settings[key] = given[dest]
+    settings.update((key, value) for key, value in given.items() if key in DEFAULTS)
     return settings
 
 
@@ -324,7 +302,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         base_seed=int(settings["seed"]),
     )
     jobs = int(getattr(args, "jobs", 0))
-    if jobs <= 0:
+    if jobs < 0:
+        raise ConfigError(f"--jobs must be >= 0 (0 = one per CPU), got {jobs}")
+    if jobs == 0:
         jobs = os.cpu_count() or 1
     rows = run_grid(plan, jobs=jobs)
     summary = summarize(rows)
@@ -360,34 +340,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    config = _build_config(_merged_settings(args))
-    n, dims = config.population, config.dims
-    rng = make_rng(config.seed)
-    positions = rng.uniform(-100.0, 100.0, (n, dims))
-    masses = rng.random(n)
-    masses /= masses.sum()
-    kbest = np.arange(n)  # every agent in Kbest: all n * (n - 1) pairs
-    weights = np.ones((n, n))
-    forces(positions, masses, 100.0, config.kernel, kbest, weights)  # warm-up
-    evaluations = 0
-    started = time.perf_counter()
-    while True:
-        forces(positions, masses, 100.0, config.kernel, kbest, weights)
-        evaluations += 1
-        elapsed = time.perf_counter() - started
-        if elapsed >= 0.2:
-            break
-    pairs_per_second = evaluations * n * (n - 1) / elapsed
-    print(f"kernel={config.kernel.name} pairs_per_second={pairs_per_second:.6g}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "probe": _cmd_probe,
     "compare": _cmd_compare,
-    "bench": _cmd_bench,
 }
 
 

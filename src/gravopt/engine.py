@@ -91,14 +91,6 @@ class SwarmState:
     best_so_far_position: np.ndarray
     rng: Generator
 
-    @property
-    def population(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.positions.shape[1]
-
 
 def compute_masses(fitnesses: Sequence[float]) -> np.ndarray:
     """Min-max mass assignment under minimization.

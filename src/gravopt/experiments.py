@@ -133,8 +133,9 @@ def _run_cell(args: tuple[GsaConfig, str, int]) -> ResultRow:
 def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     """Run every grid cell; rows ordered (objective, kernel, repetition).
 
-    jobs > 1 executes cells in a process pool; row order and content
-    (apart from wall_seconds) are identical to the serial mode.
+    jobs > 1 executes cells in a process pool of at most one worker per
+    cell; row order and content (apart from wall_seconds) are identical
+    to the serial mode.
     """
     cells = [
         (cell_config(plan, kernel, objective, rep), objective.name, rep)
@@ -142,9 +143,10 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
         for kernel in plan.kernels
         for rep in range(plan.repetitions)
     ]
-    if jobs <= 1:
+    workers = min(jobs, len(cells))
+    if workers <= 1:
         return [_run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell, cells))
 
 

@@ -29,7 +29,7 @@ Each block is filled contiguously: every (k, d) row is first set to its
 agent's position, then subtracted from the Kbest positions in place, so
 the subtraction runs over k * d contiguous elements instead of d at a
 time; each difference is still the one IEEE subtraction x_j - x_i.
-The engine's step, ``probe_exponent`` and ``cli bench`` call it.
+The engine's step and ``probe_exponent`` call it.
 ``probe_exponent`` measures a kernel's effective distance exponent
 empirically by fitting log magnitude against log distance.
 """

@@ -90,12 +90,3 @@ def make_objective(name: str, dims: int) -> ObjectiveSpec:
         name=key, dims=int(dims), default_lower=-half_width, default_upper=half_width
     )
 
-
-def evaluate(spec: ObjectiveSpec, x) -> float:
-    """Evaluate the benchmark, validating length and finiteness of x."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size != spec.dims:
-        raise ValueError(f"expected a vector of length {spec.dims}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("objective input must be finite")
-    return float(spec.function(arr))

@@ -70,12 +70,25 @@ class TestParsing:
     def test_missing_subcommand_rejected(self):
         assert cli.main([]) == 2
 
+    def test_bench_is_not_a_command(self, capsys):
+        assert cli.main(["bench"]) == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--pop", "1"], "population >= 2"), (["--dims", "0"], "dims >= 1")],
+    )
+    def test_invalid_size_rejected(self, command, argv, message, capsys):
+        assert cli.main([command, *argv]) == 2
+        assert message in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
 
     def test_help_lists_every_flag_with_default(self, capsys):
         helps = []
-        for sub in ("run", "probe", "compare", "bench"):
+        for sub in ("run", "probe", "compare"):
             cli.main([sub, "--help"])
             helps.append(capsys.readouterr().out)
         combined = "\n".join(helps)
@@ -144,6 +157,30 @@ class TestConfigFile:
         config = tmp_path / "c.json"
         config.write_text("{not json")
         assert cli.main(["run", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value)
+         for key in ("population", "dims", "max_iters", "seed", "repetitions")
+         for value in (4.9, "4", True, None)]
+        + [("deterministic_weights", value) for value in ("false", 0, None)],
+    )
+    def test_mistyped_value_rejected(self, key, value, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        small = ["--pop", "4", "--dims", "2", "--iters", "2", "--trace", str(tmp_path / "t.csv")]
+        assert cli.main(["run", "--config", str(config), *small]) == 2
+        assert f"config key '{key}' must be" in capsys.readouterr().err
+
+    def test_integral_values_keep_their_meaning(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(
+            {"population": 5.0, "dims": 2, "max_iters": 2, "deterministic_weights": True}
+        ))
+        trace = tmp_path / "t.csv"
+        assert cli.main(["run", "--config", str(config), "--trace", str(trace)]) == 0
+        text = read(trace)
+        assert "population=5 " in text and "deterministic_weights=true" in text
 
     def test_explicit_bounds_from_config(self, tmp_path):
         config = tmp_path / "c.json"
@@ -267,32 +304,16 @@ class TestCompareCommand:
         assert read(out1) == read(out2)
         assert read(tmp_path / "s_summary.csv") == read(tmp_path / "p_summary.csv")
 
+    def test_negative_jobs_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        small = ["--reps", "1", "--iters", "2", "--pop", "4", "--dims", "2"]
+        assert cli.main(["compare", "--jobs", "-1", *small, "--out", str(out)]) == 2
+        assert "--jobs must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_io_failure(self, tmp_path):
         code = cli.main(
             ["compare", "--reps", "1", "--iters", "2", "--pop", "4", "--dims", "2",
              "--out", str(tmp_path / "missing" / "r.csv"), "--jobs", "1"]
         )
         assert code == 4
-
-
-class TestBenchCommand:
-    def test_single_line_throughput(self, capsys):
-        assert cli.main(["bench", "--pop", "20", "--dims", "5"]) == 0
-        out = capsys.readouterr().out
-        lines = out.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("kernel=original pairs_per_second=")
-        rate = float(lines[0].split("=")[-1])
-        assert rate > 0
-
-    def test_smallest_swarm(self, capsys):
-        assert cli.main(["bench", "--pop", "2"]) == 0
-        assert "pairs_per_second=" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [(["--pop", "1"], "population >= 2"), (["--dims", "0"], "dims >= 1")],
-    )
-    def test_invalid_size_rejected(self, argv, message, capsys):
-        assert cli.main(["bench", *argv]) == 2
-        assert message in capsys.readouterr().err

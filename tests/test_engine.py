@@ -199,7 +199,7 @@ class TestInitialize:
 
 def full_kbest_forces(state, kernel):
     """Forces on every agent from the whole swarm with unit weights."""
-    n = state.population
+    n = len(state.positions)
     return forces(
         state.positions, state.masses, state.g_current, kernel, np.arange(n), np.ones((n, n))
     )

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +152,42 @@ class TestRunGrid:
         for a, b in zip(serial, parallel):
             assert a.final_best == b.final_best
             assert a.seed == b.seed
+
+    def test_pool_never_larger_than_grid(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("gravopt.experiments.ProcessPoolExecutor", SerialPool)
+        plan = small_plan()  # 2 kernels x 2 objectives x 2 reps = 8 cells
+        pooled = run_grid(plan, jobs=500)
+        assert started == [8]
+        untimed = [replace(row, wall_seconds=0.0) for row in pooled]
+        assert untimed == [replace(row, wall_seconds=0.0) for row in run_grid(plan, jobs=1)]
+
+    def test_single_cell_never_starts_a_pool(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError(f"pool of {max_workers} started for one cell")
+
+        monkeypatch.setattr("gravopt.experiments.ProcessPoolExecutor", no_pool)
+        plan = small_plan(
+            kernels=(KernelSpec.original(),),
+            objectives=(make_objective("sphere", 2),),
+            repetitions=1,
+        )
+        (row,) = run_grid(plan, jobs=8)
+        assert row.final_best == run_grid(plan, jobs=1)[0].final_best
 
     def test_row_seed_reconstructible_from_plan(self):
         plan = small_plan()

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from gravopt import make_objective, objective_names
-from gravopt.objectives import ObjectiveSpec, ackley, evaluate, rastrigin, rosenbrock, sphere
+from gravopt.objectives import ObjectiveSpec, ackley, rastrigin, rosenbrock, sphere
 
 BOUNDS = {"sphere": 100.0, "rastrigin": 5.12, "rosenbrock": 30.0, "ackley": 32.0}
 
@@ -34,13 +32,13 @@ class TestInvariants:
         rng = np.random.Generator(np.random.PCG64(11))
         half = BOUNDS[name]
         for _ in range(200):
-            assert evaluate(spec, rng.uniform(-half, half, 6)) >= 0.0
+            assert spec.function(rng.uniform(-half, half, 6)) >= 0.0
 
     def test_ackley_floating_point_floor(self):
         spec = make_objective("ackley", 6)
         rng = np.random.Generator(np.random.PCG64(12))
         for _ in range(200):
-            assert evaluate(spec, rng.uniform(-32.0, 32.0, 6)) >= -1e-12
+            assert spec.function(rng.uniform(-32.0, 32.0, 6)) >= -1e-12
 
     @pytest.mark.parametrize("fn", [sphere, rastrigin, ackley])
     def test_permutation_and_sign_invariance(self, fn):
@@ -103,19 +101,7 @@ class TestSpecAndEvaluate:
         with pytest.raises(ValueError):
             ObjectiveSpec(name="sphere", dims=0, default_lower=-1.0, default_upper=1.0)
 
-    def test_evaluate_length_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate(make_objective("sphere", 3), [1.0, 2.0])
-
-    def test_evaluate_non_finite_input(self):
-        with pytest.raises(ValueError):
-            evaluate(make_objective("sphere", 2), [1.0, math.nan])
-
     @pytest.mark.parametrize("name", sorted(BOUNDS))
-    def test_evaluate_returns_python_float(self, name):
-        assert type(evaluate(make_objective(name, 3), [0.5, -1.0, 2.0])) is float
-
-    def test_evaluate_matches_function(self):
-        spec = make_objective("rosenbrock", 4)
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert evaluate(spec, x) == rosenbrock(x)
+    def test_single_point_returns_float64_scalar(self, name):
+        value = make_objective(name, 3).function(np.array([0.5, -1.0, 2.0]))
+        assert type(value) is np.float64
