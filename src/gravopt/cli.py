@@ -9,7 +9,8 @@ such as "square" or "power:1.5", or an object {"kind", "exponent",
 sets (--pop under "population", --iters under "max_iters"), so DEFAULTS
 declares a setting once for flags and config file alike. Unknown flags
 and unknown config keys are rejected, and so are config values of the
-wrong JSON type: a non-integral count or seed, a non-boolean
+wrong JSON type: a non-integral count or seed, a non-number for a
+float setting (a JSON boolean included), a non-boolean
 "deterministic_weights".
 
 Exit codes: 0 success, 2 usage error, 3 numeric divergence or force
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,7 +38,12 @@ from .experiments import (
     write_summary_csv,
     write_trace_csv,
 )
-from .kernels import DEFAULT_PROBE_DISTANCES, ForceOverflowError, probe_exponent
+from .kernels import (
+    DEFAULT_PROBE_DISTANCES,
+    ForceOverflowError,
+    probe_exponent,
+    usable_cores,
+)
 from .objectives import make_objective, objective_names
 
 EXIT_OK = 0
@@ -67,6 +72,7 @@ DEFAULTS = {
 # plus the file-only bounds and probe grid.
 _CONFIG_FILE_KEYS = (set(DEFAULTS) - {"epsilon"}) | {"lower_bound", "upper_bound", "probe_r_values"}
 _INTEGER_KEYS = ("population", "dims", "max_iters", "seed", "repetitions")
+_FLOAT_KEYS = ("g0", "alpha", "kbest_initial_fraction")
 
 
 def parse_kernel(text: str, epsilon: float) -> KernelSpec:
@@ -164,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(p_compare, "--no-timing", action="store_true", dest="no_timing",
         help="write 0 in wall_seconds for byte-reproducible output (default: off)")
     add(p_compare, "--jobs", type=int,
-        help="worker processes for the grid; 0 = one per CPU (default: 0)")
+        help="worker processes for the grid; 0 = one per usable core (default: 0)")
     add_config(p_compare)
 
     return parser
@@ -172,6 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv) -> argparse.Namespace:
     return build_parser().parse_args(argv)
+
+
+def _check_number(name: str, value) -> None:
+    # bool is an int subclass, so a JSON true would pass as 1.0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -191,6 +203,8 @@ def _load_config_file(path: str) -> dict:
             isinstance(value, int) or isinstance(value, float) and value.is_integer()
         ):
             raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
+    for key in _FLOAT_KEYS:
+        _check_number(f"config key '{key}'", data.get(key, 0.0))
     if not isinstance(data.get("deterministic_weights", False), bool):
         raise ConfigError(
             "config key 'deterministic_weights' must be true or false, "
@@ -223,6 +237,7 @@ def _merged_settings(args: argparse.Namespace) -> dict:
                     kind = f"power:{kernel_value['exponent']}"
                 settings["kernel"] = kind
                 if "epsilon" in kernel_value:
+                    _check_number("config key 'kernel.epsilon'", kernel_value["epsilon"])
                     settings["epsilon"] = float(kernel_value["epsilon"])
             else:
                 settings["kernel"] = str(kernel_value)
@@ -303,9 +318,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     jobs = int(getattr(args, "jobs", 0))
     if jobs < 0:
-        raise ConfigError(f"--jobs must be >= 0 (0 = one per CPU), got {jobs}")
+        raise ConfigError(f"--jobs must be >= 0 (0 = one per usable core), got {jobs}")
     if jobs == 0:
-        jobs = os.cpu_count() or 1
+        jobs = usable_cores()
     rows = run_grid(plan, jobs=jobs)
     summary = summarize(rows)
 

@@ -4,7 +4,9 @@ Determinism contract
 --------------------
 Each run owns a single numpy PCG64 generator seeded from the config
 (``RNG_NAME`` names the algorithm for trace headers). Uniform draws are
-consumed in a fixed order so traces are bit-identical across machines:
+consumed in a fixed order so traces are bit-identical across machines
+with the same numpy build and the same active CPU dispatch level, and
+for any number of cores ``kernels.forces`` spreads its rows over:
 
 1. ``initialize``: population * dims uniforms fill the positions
    row-major (agent index ascending, dimension ascending).

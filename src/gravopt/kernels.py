@@ -23,12 +23,20 @@ an (n, k) weight matrix whose column c belongs to member kbest[c] and
 builds differences against those k columns alone, never all n * n
 pairs. It walks the agents in row blocks of at most ``CHUNK_ELEMENTS``
 (agent, member, dimension) differences (one row when a single row holds
-more), so the difference block it holds does not grow with the
+more), so the difference blocks it holds do not grow with the
 population; every row comes out bit for bit as from a single block.
 Each block is filled contiguously: every (k, d) row is first set to its
 agent's position, then subtracted from the Kbest positions in place, so
 the subtraction runs over k * d contiguous elements instead of d at a
 time; each difference is still the one IEEE subtraction x_j - x_i.
+A call that holds more than one block (n * k * d > ``CHUNK_ELEMENTS``)
+splits the agents into contiguous parts, one per usable core
+(``usable_cores``), and walks each part's row blocks on its own thread:
+numpy releases the interpreter lock inside its array calls, so the parts
+run in parallel. The budget stays per call, shared by the parts, and
+every row goes through the same arithmetic, so the result is the same
+bit for bit. A smaller call, such as every step of a 50-agent run, runs
+inline on the calling thread.
 The engine's step and ``probe_exponent`` call it.
 ``probe_exponent`` measures a kernel's effective distance exponent
 empirically by fitting log magnitude against log distance.
@@ -36,15 +44,18 @@ empirically by fitting log magnitude against log distance.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent import futures  # its thread module loads at the first split call
 from typing import Sequence
 
 import numpy as np
 
 from .core import KernelSpec, ProbeReport
 
-#: Row-block budget of ``forces``, in (agent, Kbest member, dimension)
-#: differences: 8 MiB of float64.
+#: Row-block budget of one ``forces`` call, in (agent, Kbest member,
+#: dimension) differences, shared by all its parts: 8 MiB of float64.
 CHUNK_ELEMENTS = 1 << 20
 
 #: 25 logarithmically spaced probe distances spanning nine decades.
@@ -53,6 +64,19 @@ DEFAULT_PROBE_DISTANCES: tuple[float, ...] = tuple(np.geomspace(1e-3, 1e6, 25))
 
 class ForceOverflowError(ArithmeticError):
     """A force evaluation produced a non-finite component."""
+
+
+def usable_cores() -> int:
+    """Number of CPUs this process may run on, at least 1.
+
+    Read from the process's affinity mask where the platform has one, so
+    ``taskset`` and cgroup CPU sets are respected; ``os.cpu_count()``
+    counts every CPU of the machine.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def forces(
@@ -71,19 +95,56 @@ def forces(
     indices and ``weights`` (n, k). Self-pairs, coincident agents and
     zero-mass pairs exert no force on each other; the pairwise terms are
     exactly antisymmetric and always point from i toward j. Agents are
-    processed in row blocks of at most ``CHUNK_ELEMENTS`` differences.
-    Callers validate their inputs.
+    processed in row blocks of at most ``CHUNK_ELEMENTS`` differences in
+    all; when that is more than one block, contiguous parts of the rows
+    run on one thread per usable core, the calling thread taking the
+    first, with bit-identical results. Callers validate their inputs.
     """
     sources = positions[kbest]
     source_masses = masses[kbest]
     k, d = sources.shape
     n = positions.shape[0]
-    rows = max(1, CHUNK_ELEMENTS // max(k * d, 1))
-    power = kernel.exponent + 1.0
+    width = max(k * d, 1)
+    parts = min(usable_cores(), n) if n * width > CHUNK_ELEMENTS else 1
+    rows = max(1, CHUNK_ELEMENTS // (parts * width))
     total = np.empty(positions.shape)
-    # Every block writes its differences into the same buffer, so a call
-    # allocates it once, not once per block.
-    buffer = np.empty((min(rows, n), k, d))
+    shared = (sources, source_masses, g, kernel, rows)
+    if parts == 1:
+        _accumulate(total, positions, masses, weights, np.empty((min(rows, n), k, d)), *shared)
+    else:
+        # The caller allocates every part's buffer: buffers made on the
+        # worker threads land in per-thread heaps and raise peak memory.
+        bounds = [n * p // parts for p in range(parts + 1)]
+        work = [
+            (total[lo:hi], positions[lo:hi], masses[lo:hi], weights[lo:hi],
+             np.empty((min(rows, hi - lo), k, d)), *shared)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        # A pool per call leaves no thread alive between calls: a process
+        # forked later (``run_grid``'s workers) inherits none of a pool's
+        # threads, so a long-lived pool would hang there. Each part runs
+        # in a copy of the caller's context, which carries its errstate.
+        with futures.ThreadPoolExecutor(parts - 1) as pool:
+            pending = [pool.submit(contextvars.copy_context().run, _accumulate, *part)
+                       for part in work[1:]]
+            _accumulate(*work[0])
+            for future in pending:
+                future.result()
+    if not np.isfinite(total).all():
+        # R below the underflow scale of R**(q+1) with epsilon = 0
+        raise ForceOverflowError("force overflow; increase epsilon")
+    return total
+
+
+def _accumulate(out, positions, masses, weights, buffer, sources, source_masses, g, kernel, rows):
+    """Write into ``out`` the forces on the agents ``positions`` (with
+    their ``masses`` and ``weights`` rows), ``rows`` agents at a time.
+
+    Every block writes its differences into ``buffer``, so a part
+    allocates one buffer, not one per block.
+    """
+    power = kernel.exponent + 1.0
+    n = positions.shape[0]
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         diff = buffer[: stop - start]
@@ -101,11 +162,7 @@ def forces(
             coeff = num / (r ** power + kernel.epsilon)
         coeff[(r == 0.0) | (num == 0.0)] = 0.0
         coeff *= weights[start:stop]
-        np.einsum("ic,icd->id", coeff, diff, out=total[start:stop])
-    if not np.isfinite(total).all():
-        # R below the underflow scale of R**(q+1) with epsilon = 0
-        raise ForceOverflowError("force overflow; increase epsilon")
-    return total
+        np.einsum("ic,icd->id", coeff, diff, out=out[start:stop])
 
 
 def probe_exponent(

@@ -163,7 +163,10 @@ class TestConfigFile:
         [(key, value)
          for key in ("population", "dims", "max_iters", "seed", "repetitions")
          for value in (4.9, "4", True, None)]
-        + [("deterministic_weights", value) for value in ("false", 0, None)],
+        + [("deterministic_weights", value) for value in ("false", 0, None)]
+        + [(key, value)
+           for key in ("g0", "alpha", "kbest_initial_fraction")
+           for value in (True, False, "4", None)],
     )
     def test_mistyped_value_rejected(self, key, value, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -171,6 +174,22 @@ class TestConfigFile:
         small = ["--pop", "4", "--dims", "2", "--iters", "2", "--trace", str(tmp_path / "t.csv")]
         assert cli.main(["run", "--config", str(config), *small]) == 2
         assert f"config key '{key}' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, False, "1e-12", None])
+    def test_mistyped_kernel_epsilon_rejected(self, value, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"kernel": {"kind": "square", "epsilon": value}}))
+        assert cli.main(["probe", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
+        assert "config key 'kernel.epsilon' must be a number" in capsys.readouterr().err
+
+    def test_boolean_g0_and_alpha_rejected(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"g0": True, "alpha": False}))
+        trace = tmp_path / "t.csv"
+        small = ["--pop", "4", "--dims", "2", "--iters", "2", "--trace", str(trace)]
+        assert cli.main(["run", "--config", str(config), *small]) == 2
+        assert "config key 'g0' must be a number, got True" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_integral_values_keep_their_meaning(self, tmp_path):
         config = tmp_path / "c.json"
@@ -310,6 +329,15 @@ class TestCompareCommand:
         assert cli.main(["compare", "--jobs", "-1", *small, "--out", str(out)]) == 2
         assert "--jobs must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_jobs_zero_is_one_per_usable_core(self, tmp_path, monkeypatch):
+        asked = []
+        serial_grid = cli.run_grid
+        monkeypatch.setattr(cli, "usable_cores", lambda: 3)
+        monkeypatch.setattr(cli, "run_grid", lambda plan, jobs: asked.append(jobs) or serial_grid(plan))
+        small = ["--reps", "1", "--iters", "2", "--pop", "4", "--dims", "2"]
+        assert cli.main(["compare", "--jobs", "0", *small, "--out", str(tmp_path / "r.csv")]) == 0
+        assert asked == [3]
 
     def test_compare_io_failure(self, tmp_path):
         code = cli.main(

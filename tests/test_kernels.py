@@ -1,11 +1,23 @@
 import math
+import multiprocessing
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gravopt.kernels as kernels
-from gravopt import ForceOverflowError, KernelSpec, forces, probe_exponent
+from gravopt import (
+    ExperimentPlan,
+    ForceOverflowError,
+    GsaConfig,
+    KernelSpec,
+    forces,
+    make_objective,
+    probe_exponent,
+    run_grid,
+)
 
 ALL_KERNELS_EPS0 = [
     KernelSpec.original(0.0),
@@ -24,6 +36,31 @@ def pair_forces(kernel, g, x_i, x_j, m_i=1.0, m_j=1.0):
 def magnitude(kernel, g, x_i, x_j, m_i=1.0, m_j=1.0):
     """Norm of the force on i from j."""
     return float(np.linalg.norm(pair_forces(kernel, g, x_i, x_j, m_i, m_j)[0]))
+
+
+def coincident_member_swarm(dims):
+    """(positions, masses, kbest, weights) of 10 agents, 3 of them Kbest
+    members, where non-member 5 coincides with member 3."""
+    rng = np.random.Generator(np.random.PCG64(21))
+    positions = rng.uniform(-10.0, 10.0, (10, dims))
+    positions[5] = positions[3]
+    masses = rng.random(10)
+    return positions, masses, np.array([2, 3, 7]), rng.random((10, 3))
+
+
+def count_thread_parts(monkeypatch, cores):
+    """Set the usable core count; return the list of the row counts of
+    the parts that ``forces`` hands to worker threads from then on."""
+    submitted = []
+
+    class RecordingPool(kernels.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(len(args[1]))  # args: _accumulate, its out rows, ...
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(kernels, "usable_cores", lambda: cores)
+    monkeypatch.setattr(kernels.futures, "ThreadPoolExecutor", RecordingPool)
+    return submitted
 
 
 def random_pair(rng, dims, mass_range=(1e-3, 1e3), r_range=(1e-6, 1e6)):
@@ -304,13 +341,85 @@ class TestForces:
     def test_row_blocks_match_one_block(self, monkeypatch, kernel, chunk, dims):
         # with 3 dims k * d = 9, so blocks hold 1, 1, 2, 3 and 5 rows; with
         # 3 rows member 2 ends the first block and member 3 starts the second
-        rng = np.random.Generator(np.random.PCG64(21))
-        positions = rng.uniform(-10.0, 10.0, (10, dims))
-        positions[5] = positions[3]  # a non-member coincides with a member
-        masses = rng.random(10)
-        kbest = np.array([2, 3, 7])
-        weights = rng.random((10, 3))
-        whole = forces(positions, masses, 3.0, kernel, kbest, weights)
+        monkeypatch.setattr(kernels, "usable_cores", lambda: 1)
+        swarm = coincident_member_swarm(dims)
+        whole = forces(swarm[0], swarm[1], 3.0, kernel, *swarm[2:])
         monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", chunk)
-        assert np.array_equal(forces(positions, masses, 3.0, kernel, kbest, weights), whole)
+        assert np.array_equal(forces(swarm[0], swarm[1], 3.0, kernel, *swarm[2:]), whole)
         assert np.all(whole[5] != 0.0) and np.all(np.isfinite(whole))
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS_EPS0, ids=lambda k: k.name)
+    @pytest.mark.parametrize("chunk", [1, 9, 27])
+    @pytest.mark.parametrize("dims", [1, 3])
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_parts_on_threads_match_one_block(self, monkeypatch, kernel, chunk, dims, cores):
+        # 10 rows split into parts of 5 + 5 or 3 + 3 + 4 rows, each part
+        # walking its own row blocks; every call here holds more than one
+        # block, so every call splits
+        swarm = coincident_member_swarm(dims)
+        whole = forces(swarm[0], swarm[1], 3.0, kernel, *swarm[2:])
+        submitted = count_thread_parts(monkeypatch, cores)
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", chunk)
+        assert np.array_equal(forces(swarm[0], swarm[1], 3.0, kernel, *swarm[2:]), whole)
+        assert len(submitted) == cores - 1
+
+    def test_one_block_runs_inline(self, monkeypatch):
+        submitted = count_thread_parts(monkeypatch, 4)
+        swarm = coincident_member_swarm(3)
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 10 * 3 * 3)
+        forces(swarm[0], swarm[1], 3.0, KernelSpec.inverse_square(), *swarm[2:])
+        assert submitted == []
+
+    def test_split_then_forked_grid_matches_serial(self, monkeypatch):
+        # Threads started by a split must all be gone before run_grid forks
+        # its workers, which split their own calls too.
+        submitted = count_thread_parts(monkeypatch, 2)
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 16)
+        swarm = coincident_member_swarm(3)
+        forces(swarm[0], swarm[1], 3.0, KernelSpec.inverse_square(), *swarm[2:])
+        assert len(submitted) == 1
+        base = GsaConfig(
+            population=6,
+            dims=3,
+            lower_bound=np.full(3, -5.0),
+            upper_bound=np.full(3, 5.0),
+            kernel=KernelSpec.original(),
+            max_iters=4,
+            seed=0,
+        )
+        plan = ExperimentPlan(
+            base_config=base,
+            kernels=(KernelSpec.original(), KernelSpec.inverse_square()),
+            objectives=(make_objective("sphere", 3), make_objective("rastrigin", 3)),
+            repetitions=1,
+            base_seed=7,
+        )
+        # A hang is the failure this test guards against, so the grid runs
+        # on a thread the test stops waiting for; killing the hung workers
+        # then breaks the pool, which ends the thread.
+        parallel = []
+        grid = threading.Thread(target=lambda: parallel.extend(run_grid(plan, jobs=2)))
+        grid.start()
+        grid.join(timeout=120)
+        if grid.is_alive():
+            for worker in multiprocessing.active_children():
+                worker.kill()
+            grid.join(timeout=30)
+            pytest.fail("run_grid(jobs=2) hung after a split forces call")
+        serial = run_grid(plan, jobs=1)
+        assert len(submitted) > 1  # the serial cells split as well
+        assert [replace(row, wall_seconds=0.0) for row in parallel] == [
+            replace(row, wall_seconds=0.0) for row in serial
+        ]
+
+    @pytest.mark.parametrize("cores, chunk", [(1, kernels.CHUNK_ELEMENTS), (2, 1)])
+    def test_caller_errstate_applies_in_every_part(self, monkeypatch, cores, chunk):
+        # Only the last row, on the second part's thread when split, has
+        # R**3 beyond the float range.
+        submitted = count_thread_parts(monkeypatch, cores)
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", chunk)
+        positions = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [1e150, 1e150]])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forces(positions, np.ones(4), 1.0, KernelSpec.inverse_square(), np.array([0]),
+                   np.ones((4, 1)))
+        assert len(submitted) == cores - 1
