@@ -7,11 +7,12 @@ such as "square" or "power:1.5", or an object {"kind", "exponent",
 "epsilon"}); it may additionally carry "function", "repetitions" and
 "probe_r_values". Each flag stores its value under the settings key it
 sets (--pop under "population", --iters under "max_iters"), so DEFAULTS
-declares a setting once for flags and config file alike. Unknown flags
-and unknown config keys are rejected, and so are config values of the
-wrong JSON type: a non-integral count or seed, a non-number for a
-float setting (a JSON boolean included), a non-boolean
-"deterministic_weights".
+declares a setting once for flags, config file and --help alike. Unknown
+flags and unknown config keys are rejected, and so is a config value
+whose JSON type does not fit its default's: a count or seed needs an
+integral number, a float setting a number (never a JSON boolean),
+"deterministic_weights" true or false; the bounds and the probe grid are
+lists of numbers.
 
 Exit codes: 0 success, 2 usage error, 3 numeric divergence or force
 overflow, 4 I/O failure.
@@ -22,11 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_EPSILON, ConfigError, GsaConfig, KernelSpec, validate_config
+from .core import DEFAULT_EPSILON, ConfigError, GsaConfig, KernelSpec
 from .engine import DivergenceError, EvaluationError, run
 from .experiments import (
     ExperimentPlan,
@@ -44,7 +46,7 @@ from .kernels import (
     probe_exponent,
     usable_cores,
 )
-from .objectives import make_objective, objective_names
+from .objectives import ObjectiveSpec, make_objective, objective_names
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,11 +70,11 @@ DEFAULTS = {
     "kbest_initial_fraction": 1.0,
 }
 
+# File-only settings, each a list of numbers; None means the built-in one.
+_NUMBER_LISTS = ("lower_bound", "upper_bound", "probe_r_values")
 # Every setting but epsilon (which a config file sets inside "kernel"),
-# plus the file-only bounds and probe grid.
-_CONFIG_FILE_KEYS = (set(DEFAULTS) - {"epsilon"}) | {"lower_bound", "upper_bound", "probe_r_values"}
-_INTEGER_KEYS = ("population", "dims", "max_iters", "seed", "repetitions")
-_FLOAT_KEYS = ("g0", "alpha", "kbest_initial_fraction")
+# plus the file-only lists.
+_CONFIG_FILE_KEYS = (set(DEFAULTS) - {"epsilon"}) | set(_NUMBER_LISTS)
 
 
 def parse_kernel(text: str, epsilon: float) -> KernelSpec:
@@ -112,20 +114,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(p, *names, **kwargs):
         kwargs.setdefault("default", argparse.SUPPRESS)
-        p.add_argument(*names, **kwargs)
+        action = p.add_argument(*names, **kwargs)
+        if action.dest in DEFAULTS:
+            default = DEFAULTS[action.dest]
+            if isinstance(default, bool):
+                default = "on" if default else "off"
+            action.help += f" (default: {default})"
 
     def add_common_numeric(p):
-        add(p, "--g0", type=float, help="initial gravitational constant (default: 100.0)")
-        add(p, "--alpha", type=float, help="decay rate of the G schedule (default: 20.0)")
-        add(p, "--pop", type=int, dest="population", help="population size (default: 50)")
-        add(p, "--dims", type=int, help="search-space dimensionality (default: 30)")
-        add(p, "--iters", type=int, dest="max_iters", help="iteration budget (default: 1000)")
-        add(p, "--seed", type=int, help="64-bit unsigned RNG seed (default: 42)")
+        add(p, "--g0", type=float, help="initial gravitational constant")
+        add(p, "--alpha", type=float, help="decay rate of the G schedule")
+        add(p, "--pop", type=int, dest="population", help="population size")
+        add(p, "--dims", type=int, help="search-space dimensionality")
+        add(p, "--iters", type=int, dest="max_iters", help="iteration budget")
+        add(p, "--seed", type=int, help="64-bit unsigned RNG seed")
 
     def add_kernel(p):
-        add(p, "--kernel", help=f"force kernel: {KERNEL_CHOICES} (default: original)")
-        add(p, "--epsilon", type=float,
-            help="softening constant in the force denominator (default: 1e-12)")
+        add(p, "--kernel", help=f"force kernel: {KERNEL_CHOICES}")
+        add(p, "--epsilon", type=float, help="softening constant in the force denominator")
 
     def add_config(p):
         add(p, "--config", help="JSON config file mirroring the run configuration "
@@ -136,10 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_kernel(p_run)
     add_common_numeric(p_run)
-    add(p_run, "--function", help="objective: " + ", ".join(objective_names())
-        + " (default: sphere)")
+    add(p_run, "--function", help="objective: " + ", ".join(objective_names()))
     add(p_run, "--deterministic", action="store_true", dest="deterministic_weights",
-        help="disable stochastic force/velocity weighting (default: off)")
+        help="disable stochastic force/velocity weighting")
     add(p_run, "--trace", help="trace CSV output path (default: stdout)")
     add_config(p_run)
 
@@ -147,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "probe", help="fit the kernel's force-magnitude distance exponent"
     )
     add_kernel(p_probe)
-    add(p_probe, "--g0", type=float,
-        help="gravitational constant used for the probe (default: 100.0)")
+    add(p_probe, "--g0", type=float, help="gravitational constant used for the probe")
     add(p_probe, "--out", help="probe CSV output path (default: stdout)")
     add_config(p_probe)
 
@@ -157,13 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="kernel comparison grid: {original, linear, square} on all "
              "objectives; writes results and summary CSVs",
     )
-    add(p_compare, "--epsilon", type=float,
-        help="softening constant for all compared kernels (default: 1e-12)")
+    add(p_compare, "--epsilon", type=float, help="softening constant for all compared kernels")
     add_common_numeric(p_compare)
-    add(p_compare, "--reps", type=int, dest="repetitions",
-        help="repetitions per cell (default: 25)")
+    add(p_compare, "--reps", type=int, dest="repetitions", help="repetitions per cell")
     add(p_compare, "--deterministic", action="store_true", dest="deterministic_weights",
-        help="disable stochastic force/velocity weighting (default: off)")
+        help="disable stochastic force/velocity weighting")
     add(p_compare, "--out",
         help="results CSV path; the summary CSV lands next to it with an "
              "'_summary' suffix (default: results.csv)")
@@ -180,13 +182,24 @@ def parse_args(argv) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _check_number(name: str, value) -> None:
-    # bool is an int subclass, so a JSON true would pass as 1.0
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+def _check_type(key: str, value, default) -> None:
+    """Reject a config-file value whose JSON type does not fit its default's."""
+    if isinstance(default, bool):
+        fits, expected = isinstance(value, bool), "true or false"
+    else:
+        # bool is an int subclass, so a JSON true would pass as 1
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, int):
+            fits = number and (isinstance(value, int) or value.is_integer())
+            expected = "an integer"
+        else:
+            fits, expected = number, "a number"
+    if not fits:
+        raise ConfigError(f"config key '{key}' must be {expected}, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
+    """Settings from a JSON config file, with its kernel object flattened."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -197,85 +210,60 @@ def _load_config_file(path: str) -> dict:
             "unknown config keys: " + ", ".join(sorted(unknown))
             + "; valid keys: " + ", ".join(sorted(_CONFIG_FILE_KEYS))
         )
-    for key in _INTEGER_KEYS:
-        value = data.get(key, 0)
-        if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()
-        ):
-            raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
-    for key in _FLOAT_KEYS:
-        _check_number(f"config key '{key}'", data.get(key, 0.0))
-    if not isinstance(data.get("deterministic_weights", False), bool):
-        raise ConfigError(
-            "config key 'deterministic_weights' must be true or false, "
-            f"got {data['deterministic_weights']!r}"
-        )
+    kernel = data.pop("kernel", None)
+    for key, value in data.items():
+        if key in _NUMBER_LISTS:
+            if not isinstance(value, list):
+                raise ConfigError(f"config key '{key}' must be a list of numbers, got {value!r}")
+            for item in value:
+                _check_type(key, item, 0.0)
+        elif not isinstance(DEFAULTS[key], str):
+            _check_type(key, value, DEFAULTS[key])
+    if isinstance(kernel, dict):
+        unknown = set(kernel) - {"kind", "exponent", "epsilon"}
+        if unknown:
+            raise ConfigError("unknown kernel keys: " + ", ".join(sorted(unknown)))
+        data["kernel"] = kernel.get("kind", "original")
+        if data["kernel"] == "power":
+            if "exponent" not in kernel:
+                raise ConfigError("power kernel needs an 'exponent'")
+            _check_type("kernel.exponent", kernel["exponent"], 0.0)
+            data["kernel"] = f"power:{kernel['exponent']}"
+        if "epsilon" in kernel:
+            _check_type("kernel.epsilon", kernel["epsilon"], DEFAULTS["epsilon"])
+            data["epsilon"] = kernel["epsilon"]
+    elif kernel is not None:
+        data["kernel"] = kernel
     return data
 
 
 def _merged_settings(args: argparse.Namespace) -> dict:
-    settings = dict(DEFAULTS)
-    settings["lower_bound"] = None
-    settings["upper_bound"] = None
-    settings["probe_r_values"] = None
-
+    settings = dict(DEFAULTS, **dict.fromkeys(_NUMBER_LISTS))
     given = vars(args)
     if "config" in given:
-        file_settings = _load_config_file(given["config"])
-        kernel_value = file_settings.pop("kernel", None)
-        if kernel_value is not None:
-            if isinstance(kernel_value, dict):
-                unknown = set(kernel_value) - {"kind", "exponent", "epsilon"}
-                if unknown:
-                    raise ConfigError(
-                        "unknown kernel keys: " + ", ".join(sorted(unknown))
-                    )
-                kind = kernel_value.get("kind", "original")
-                if kind == "power":
-                    if "exponent" not in kernel_value:
-                        raise ConfigError("power kernel needs an 'exponent'")
-                    kind = f"power:{kernel_value['exponent']}"
-                settings["kernel"] = kind
-                if "epsilon" in kernel_value:
-                    _check_number("config key 'kernel.epsilon'", kernel_value["epsilon"])
-                    settings["epsilon"] = float(kernel_value["epsilon"])
-            else:
-                settings["kernel"] = str(kernel_value)
-        settings.update(file_settings)
-
+        settings.update(_load_config_file(given["config"]))
     settings.update((key, value) for key, value in given.items() if key in DEFAULTS)
     return settings
 
 
-def _build_config(settings: dict) -> GsaConfig:
-    kernel = parse_kernel(settings["kernel"], float(settings["epsilon"]))
-    dims = int(settings["dims"])
-    objective = make_objective(settings["function"], dims)
-    lower = settings.get("lower_bound")
-    upper = settings.get("upper_bound")
-    lower = np.full(dims, objective.default_lower) if lower is None else np.asarray(lower, float)
-    upper = np.full(dims, objective.default_upper) if upper is None else np.asarray(upper, float)
-    config = GsaConfig(
-        population=int(settings["population"]),
-        dims=dims,
-        lower_bound=lower,
-        upper_bound=upper,
-        kernel=kernel,
-        g0=float(settings["g0"]),
-        alpha=float(settings["alpha"]),
-        max_iters=int(settings["max_iters"]),
-        kbest_initial_fraction=float(settings["kbest_initial_fraction"]),
-        deterministic_weights=bool(settings["deterministic_weights"]),
-        seed=int(settings["seed"]),
-    )
-    validate_config(config)
-    return config
+def _build_config(settings: dict) -> tuple[GsaConfig, ObjectiveSpec]:
+    """The run config and its objective; unset bounds take the objective's box.
+
+    Every GsaConfig field is a settings key; the constructor normalizes
+    and checks the values.
+    """
+    values = {field.name: settings[field.name] for field in fields(GsaConfig)}
+    values["kernel"] = parse_kernel(settings["kernel"], settings["epsilon"])
+    objective = make_objective(settings["function"], settings["dims"])
+    for key, edge in (("lower_bound", objective.default_lower),
+                      ("upper_bound", objective.default_upper)):
+        if values[key] is None:
+            values[key] = np.full(objective.dims, edge)
+    return GsaConfig(**values), objective
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    settings = _merged_settings(args)
-    config = _build_config(settings)
-    objective = make_objective(settings["function"], config.dims)
+    config, objective = _build_config(_merged_settings(args))
     trace = run(config, objective.function)
     target = getattr(args, "trace", None)
     write_trace_csv(trace, config, target if target is not None else sys.stdout)
@@ -284,10 +272,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     settings = _merged_settings(args)
-    kernel = parse_kernel(settings["kernel"], float(settings["epsilon"]))
-    grid = settings.get("probe_r_values")
-    r_values = DEFAULT_PROBE_DISTANCES if grid is None else np.asarray(grid, float)
-    report = probe_exponent(kernel, float(settings["g0"]), 1.0, 1.0, r_values)
+    kernel = parse_kernel(settings["kernel"], settings["epsilon"])
+    grid = settings["probe_r_values"]
+    r_values = DEFAULT_PROBE_DISTANCES if grid is None else grid
+    report = probe_exponent(kernel, settings["g0"], 1.0, 1.0, r_values)
     target = getattr(args, "out", None)
     write_probe_csv(report, target if target is not None else sys.stdout)
     return EXIT_OK
@@ -300,23 +288,27 @@ def _summary_path(results_path: str) -> Path:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     settings = _merged_settings(args)
-    epsilon = float(settings["epsilon"])
+    for key in ("lower_bound", "upper_bound"):
+        if settings[key] is not None:
+            raise ConfigError(
+                f"compare takes no config key '{key}': each objective runs in "
+                "its own standard box"
+            )
+    base, _ = _build_config(settings)
+    epsilon = base.kernel.epsilon
     kernels = (
         KernelSpec.original(epsilon),
         KernelSpec.inverse_linear(epsilon),
         KernelSpec.inverse_square(epsilon),
     )
-    dims = int(settings["dims"])
-    objectives = tuple(make_objective(name, dims) for name in objective_names())
-    base = _build_config(settings)
+    objectives = tuple(make_objective(name, base.dims) for name in objective_names())
     plan = ExperimentPlan(
         base_config=base,
         kernels=kernels,
         objectives=objectives,
-        repetitions=int(settings["repetitions"]),
-        base_seed=int(settings["seed"]),
+        repetitions=settings["repetitions"],
     )
-    jobs = int(getattr(args, "jobs", 0))
+    jobs = getattr(args, "jobs", 0)
     if jobs < 0:
         raise ConfigError(f"--jobs must be >= 0 (0 = one per usable core), got {jobs}")
     if jobs == 0:
@@ -333,9 +325,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(
         f"compare: kernels={','.join(kernel_names)}"
         f" objectives={','.join(spec.name for spec in objectives)}"
-        f" reps={plan.repetitions} population={base.population} dims={dims}"
+        f" reps={plan.repetitions} population={base.population} dims={base.dims}"
         f" iters={base.max_iters} epsilon={format_float(epsilon)}"
-        f" base_seed={plan.base_seed}"
+        f" base_seed={base.seed}"
     )
     print("median final best per (objective, kernel):")
     medians = {(row.kernel, row.objective): row.median for row in summary.rows}

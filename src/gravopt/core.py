@@ -2,8 +2,8 @@
 
 All types here are plain values, immutable after construction. Vector
 fields are stored as read-only float64 numpy arrays. Construction rejects
-non-finite entries; the numeric run invariants (population size, bounds
-box, ...) are checked by :func:`validate_config`.
+non-finite entries, and GsaConfig's constructor checks every run
+invariant (population size, bounds box, ...), raising ConfigError.
 """
 
 from __future__ import annotations
@@ -99,7 +99,12 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GsaConfig:
-    """Full configuration of one optimization run."""
+    """Full configuration of one optimization run.
+
+    Construction normalizes every field and raises ConfigError naming the
+    first violated invariant, so every GsaConfig is valid, one made by
+    ``dataclasses.replace`` included.
+    """
 
     population: int
     dims: int
@@ -116,58 +121,34 @@ class GsaConfig:
     def __post_init__(self):
         object.__setattr__(self, "population", int(self.population))
         object.__setattr__(self, "dims", int(self.dims))
-        object.__setattr__(
-            self, "lower_bound", _readonly_vector(self.lower_bound, "lower_bound")
-        )
-        object.__setattr__(
-            self, "upper_bound", _readonly_vector(self.upper_bound, "upper_bound")
-        )
-        object.__setattr__(self, "g0", _finite_scalar(self.g0, "g0"))
-        object.__setattr__(self, "alpha", _finite_scalar(self.alpha, "alpha"))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(
-            self,
-            "kbest_initial_fraction",
-            _finite_scalar(self.kbest_initial_fraction, "kbest_initial_fraction"),
-        )
-        object.__setattr__(
-            self, "deterministic_weights", bool(self.deterministic_weights)
-        )
-        object.__setattr__(self, "seed", int(self.seed))
+        if self.population < 2:
+            raise ConfigError("population >= 2 required")
+        if self.dims < 1:
+            raise ConfigError("dims >= 1 required")
+        for name in ("lower_bound", "upper_bound"):
+            bound = _readonly_vector(getattr(self, name), name)
+            if bound.size != self.dims:
+                raise ConfigError(f"{name} length {bound.size} != dims {self.dims}")
+            object.__setattr__(self, name, bound)
+        if not np.all(self.lower_bound < self.upper_bound):
+            raise ConfigError("bounds describe an empty box (lower < upper required)")
         if not isinstance(self.kernel, KernelSpec):
             raise ValueError("kernel must be a KernelSpec")
-
-
-def validate_config(config: GsaConfig) -> None:
-    """Check every GsaConfig invariant.
-
-    Raises ConfigError naming the first violated invariant; returns None
-    when the configuration is valid.
-    """
-    if config.population < 2:
-        raise ConfigError("population >= 2 required")
-    if config.dims < 1:
-        raise ConfigError("dims >= 1 required")
-    if config.lower_bound.size != config.dims:
-        raise ConfigError(
-            f"lower_bound length {config.lower_bound.size} != dims {config.dims}"
-        )
-    if config.upper_bound.size != config.dims:
-        raise ConfigError(
-            f"upper_bound length {config.upper_bound.size} != dims {config.dims}"
-        )
-    if not np.all(config.lower_bound < config.upper_bound):
-        raise ConfigError("bounds describe an empty box (lower < upper required)")
-    if config.g0 <= 0.0:
-        raise ConfigError("g0 > 0 required")
-    if config.alpha < 0.0:
-        raise ConfigError("alpha >= 0 required")
-    if config.max_iters < 1:
-        raise ConfigError("max_iters >= 1 required")
-    if not 0.0 < config.kbest_initial_fraction <= 1.0:
-        raise ConfigError("kbest_initial_fraction must lie in (0, 1]")
-    if not 0 <= config.seed <= _UINT64_MAX:
-        raise ConfigError("seed must be a 64-bit unsigned integer")
+        for name in ("g0", "alpha", "kbest_initial_fraction"):
+            object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
+        object.__setattr__(self, "max_iters", int(self.max_iters))
+        object.__setattr__(self, "deterministic_weights", bool(self.deterministic_weights))
+        object.__setattr__(self, "seed", int(self.seed))
+        if self.g0 <= 0.0:
+            raise ConfigError("g0 > 0 required")
+        if self.alpha < 0.0:
+            raise ConfigError("alpha >= 0 required")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters >= 1 required")
+        if not 0.0 < self.kbest_initial_fraction <= 1.0:
+            raise ConfigError("kbest_initial_fraction must lie in (0, 1]")
+        if not 0 <= self.seed <= _UINT64_MAX:
+            raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ import numpy as np
 # depend on when its first run started.
 from numpy.random import PCG64, Generator
 
-from .core import GsaConfig, RunTrace, validate_config
+from .core import GsaConfig, RunTrace
 from .kernels import forces
 
 #: Softening added to the acceleration denominator; the worst agent's
@@ -174,7 +174,6 @@ def _evaluate_population(
 
 def initialize(config: GsaConfig, objective: Objective) -> SwarmState:
     """Seeded uniform start: positions in the box, velocities zero."""
-    validate_config(config)
     rng = make_rng(config.seed)
     n, d = config.population, config.dims
     width = config.upper_bound - config.lower_bound

@@ -1,8 +1,9 @@
 """Seeded experiment grids, summary statistics, and the CSV formats.
 
-Seeds: each grid cell runs with seed = base_seed XOR fnv1a64(key) where
-key is "<kernel>|<objective>|<repetition>". FNV-1a is a fixed, published
-64-bit hash, so every row's seed is reconstructible from the plan alone.
+Seeds: each grid cell runs with seed = base_config.seed XOR fnv1a64(key)
+where key is "<kernel>|<objective>|<repetition>". FNV-1a is a fixed,
+published 64-bit hash, so every row's seed is reconstructible from the
+plan alone.
 
 CSV formats (UTF-8, comma-separated, '.' decimal separator):
 
@@ -62,13 +63,11 @@ class ExperimentPlan:
     kernels: tuple[KernelSpec, ...]
     objectives: tuple[ObjectiveSpec, ...]
     repetitions: int
-    base_seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "kernels", tuple(self.kernels))
         object.__setattr__(self, "objectives", tuple(self.objectives))
         object.__setattr__(self, "repetitions", int(self.repetitions))
-        object.__setattr__(self, "base_seed", int(self.base_seed))
         if not self.kernels:
             raise ValueError("plan needs at least one kernel")
         if not self.objectives:
@@ -94,7 +93,7 @@ def cell_config(plan: ExperimentPlan, kernel: KernelSpec, objective: ObjectiveSp
 
     The base config supplies population, schedule and loop parameters;
     the objective supplies dims and its default box; the seed is derived
-    from the plan.
+    from the base config's seed and the cell.
     """
     dims = objective.dims
     return replace(
@@ -103,7 +102,7 @@ def cell_config(plan: ExperimentPlan, kernel: KernelSpec, objective: ObjectiveSp
         lower_bound=np.full(dims, objective.default_lower),
         upper_bound=np.full(dims, objective.default_upper),
         kernel=kernel,
-        seed=derive_seed(plan.base_seed, kernel.name, objective.name, repetition),
+        seed=derive_seed(plan.base_config.seed, kernel.name, objective.name, repetition),
     )
 
 

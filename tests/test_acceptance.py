@@ -266,7 +266,7 @@ def test_criterion_8_optimization_sanity():
         max_iters=1000,
         kbest_initial_fraction=1.0,
         deterministic_weights=False,
-        seed=0,
+        seed=42,
     )
     objective = make_objective("sphere", 30)
     plan = ExperimentPlan(
@@ -274,7 +274,6 @@ def test_criterion_8_optimization_sanity():
         kernels=(KernelSpec.original(),),
         objectives=(objective,),
         repetitions=25,
-        base_seed=42,
     )
     started = time.perf_counter()
     rows = run_grid(plan, jobs=2)

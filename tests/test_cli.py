@@ -1,10 +1,12 @@
 import filecmp
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gravopt import cli
+from gravopt import GsaConfig, cli
 
 DOCUMENTED_FLAGS = [
     "--kernel",
@@ -24,6 +26,21 @@ DOCUMENTED_FLAGS = [
     "--no-timing",
     "--jobs",
 ]
+
+# The default each flag whose dest is a settings key prints in --help.
+PRINTED_DEFAULTS = {
+    "--kernel": "original",
+    "--epsilon": "1e-12",
+    "--g0": "100.0",
+    "--alpha": "20.0",
+    "--pop": "50",
+    "--dims": "30",
+    "--iters": "1000",
+    "--seed": "42",
+    "--function": "sphere",
+    "--reps": "25",
+    "--deterministic": "off",
+}
 
 
 def read(path):
@@ -87,18 +104,19 @@ class TestParsing:
         assert cli.main(["--help"]) == 0
 
     def test_help_lists_every_flag_with_default(self, capsys):
-        helps = []
+        entries = []
         for sub in ("run", "probe", "compare"):
             cli.main([sub, "--help"])
-            helps.append(capsys.readouterr().out)
-        combined = "\n".join(helps)
+            options = capsys.readouterr().out.split("options:", 1)[1]
+            # one entry per option, its wrapped help joined onto one line
+            entries += [" ".join(entry.split()) for entry in re.split(r"\n  (?=-)", options)]
         for flag in DOCUMENTED_FLAGS:
-            assert flag in combined, f"{flag} missing from help"
-            line = next(
-                text for text in helps if flag in text
-            )
-            section = line[line.index(flag):]
-            assert "(default:" in section, f"{flag} help lacks its default"
+            own = [entry for entry in entries if entry.split()[:1] == [flag]]
+            assert own, f"{flag} missing from help"
+            for entry in own:
+                assert "(default: " in entry, f"{flag} help lacks its default"
+                if flag in PRINTED_DEFAULTS:
+                    assert entry.endswith(f"(default: {PRINTED_DEFAULTS[flag]})"), entry
 
 
 class TestConfigFile:
@@ -166,7 +184,10 @@ class TestConfigFile:
         + [("deterministic_weights", value) for value in ("false", 0, None)]
         + [(key, value)
            for key in ("g0", "alpha", "kbest_initial_fraction")
-           for value in (True, False, "4", None)],
+           for value in (True, False, "4", None)]
+        + [("lower_bound", [False, False]), ("upper_bound", [True, True]),
+           ("probe_r_values", [True, 2.0, 3.0]), ("lower_bound", ["-1", "-1"]),
+           ("upper_bound", 1.0), ("probe_r_values", None)],
     )
     def test_mistyped_value_rejected(self, key, value, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -181,6 +202,18 @@ class TestConfigFile:
         config.write_text(json.dumps({"kernel": {"kind": "square", "epsilon": value}}))
         assert cli.main(["probe", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
         assert "config key 'kernel.epsilon' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", True, None])
+    def test_mistyped_kernel_exponent_rejected(self, value, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"kernel": {"kind": "power", "exponent": value}}))
+        assert cli.main(["probe", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
+        assert "config key 'kernel.exponent' must be a number" in capsys.readouterr().err
+
+    def test_every_run_setting_is_a_config_key(self):
+        # a new GsaConfig field must be declared in DEFAULTS (or be a
+        # file-only list) before a config file or flag can set it
+        assert {field.name for field in fields(GsaConfig)} <= cli._CONFIG_FILE_KEYS
 
     def test_boolean_g0_and_alpha_rejected(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -322,6 +355,18 @@ class TestCompareCommand:
         assert cli.main(base + ["--out", str(out2), "--jobs", "2"]) == 0
         assert read(out1) == read(out2)
         assert read(tmp_path / "s_summary.csv") == read(tmp_path / "p_summary.csv")
+
+    @pytest.mark.parametrize("key", ["lower_bound", "upper_bound"])
+    def test_config_bounds_rejected(self, key, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: [-1.0, -1.0, -1.0], "dims": 3}))
+        out = tmp_path / "r.csv"
+        argv = ["compare", "--config", str(config), "--pop", "4", "--iters", "3",
+                "--reps", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config key '{key}'" in err and "own standard box" in err
+        assert not out.exists()
 
     def test_negative_jobs_rejected(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, strategies as st
 
 import gravopt
 from gravopt import ConfigError, GsaConfig, KernelSpec, ProbeReport, RunTrace
-from gravopt.core import validate_config
 
 
 def minimal_config(**overrides):
@@ -61,19 +61,23 @@ class TestKernelSpec:
 
 class TestValidateConfig:
     def test_minimal_valid_config(self):
-        validate_config(minimal_config())  # must not raise
+        minimal_config()  # must not raise
 
     def test_population_below_two(self):
         with pytest.raises(ConfigError, match="population"):
-            validate_config(minimal_config(population=1))
+            minimal_config(population=1)
+
+    def test_replace_checks_the_new_value(self):
+        with pytest.raises(ConfigError, match="population >= 2"):
+            replace(minimal_config(), population=1)
 
     def test_empty_box(self):
         with pytest.raises(ConfigError, match="empty box"):
-            validate_config(minimal_config(lower_bound=[0.0], upper_bound=[0.0]))
+            minimal_config(lower_bound=[0.0], upper_bound=[0.0])
 
     def test_bounds_length_mismatch(self):
         with pytest.raises(ConfigError, match="lower_bound"):
-            validate_config(minimal_config(lower_bound=[0.0, 0.0]))
+            minimal_config(lower_bound=[0.0, 0.0])
 
     @pytest.mark.parametrize(
         "overrides,fragment",
@@ -90,13 +94,8 @@ class TestValidateConfig:
         ],
     )
     def test_each_invariant_named(self, overrides, fragment):
-        if "dims" in overrides:
-            # empty bound vectors are rejected at construction already
-            with pytest.raises(ValueError):
-                minimal_config(**overrides)
-            return
         with pytest.raises(ConfigError, match=fragment):
-            validate_config(minimal_config(**overrides))
+            minimal_config(**overrides)
 
     def test_non_finite_rejected_at_construction(self):
         with pytest.raises(ValueError):

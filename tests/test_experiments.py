@@ -41,7 +41,7 @@ def small_plan(kernels=None, objectives=None, repetitions=2, iters=5):
         upper_bound=np.full(2, 1.0),
         kernel=KernelSpec.original(),
         max_iters=iters,
-        seed=0,
+        seed=99,
     )
     if kernels is None:
         kernels = (KernelSpec.original(), KernelSpec.inverse_square())
@@ -52,7 +52,6 @@ def small_plan(kernels=None, objectives=None, repetitions=2, iters=5):
         kernels=kernels,
         objectives=objectives,
         repetitions=repetitions,
-        base_seed=99,
     )
 
 
@@ -193,7 +192,7 @@ class TestRunGrid:
         plan = small_plan()
         for row in run_grid(plan):
             assert row.seed == derive_seed(
-                plan.base_seed, row.kernel, row.objective, row.repetition
+                plan.base_config.seed, row.kernel, row.objective, row.repetition
             )
 
     def test_row_matches_direct_run(self):
