@@ -1,18 +1,16 @@
 """Command-line front end: run / probe / compare.
 
 Settings resolve in three layers: built-in defaults, then the JSON file
-given with --config, then explicit flags. The JSON file mirrors GsaConfig
-field names one-to-one in snake_case (kernel is either a name string
-such as "square" or "power:1.5", or an object {"kind", "exponent",
-"epsilon"}); it may additionally carry "function", "repetitions" and
-"probe_r_values". Each flag stores its value under the settings key it
-sets (--pop under "population", --iters under "max_iters"), so DEFAULTS
-declares a setting once for flags, config file and --help alike. Unknown
-flags and unknown config keys are rejected, and so is a config value
-whose JSON type does not fit its default's: a count or seed needs an
-integral number, a float setting a number (never a JSON boolean),
-"deterministic_weights" true or false; the bounds and the probe grid are
-lists of numbers.
+given with --config, then explicit flags. ``SETTINGS`` declares each
+setting once: its flag (which stores under the setting's key, so --pop
+sets "population"), default, help and the commands that read it. A run
+reads every GsaConfig field plus "function". A config file's "kernel"
+is a name such as "square" or "power:1.5", or an object {"kind",
+"exponent", "epsilon"}, the only place a file sets epsilon. A config key
+the command does not read is rejected, and so is a value whose JSON type
+does not fit its default's: a count or seed needs an integral number, a
+float setting a number (never a JSON boolean), "deterministic_weights"
+true or false, and the bounds and probe grid a list of numbers.
 
 Exit codes: 0 success, 2 usage error, 3 numeric divergence or force
 overflow, 4 I/O failure.
@@ -25,6 +23,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,26 +54,46 @@ EXIT_IO = 4
 
 KERNEL_CHOICES = "original, linear, square, power:<q>"
 
-DEFAULTS = {
-    "kernel": "original",
-    "epsilon": DEFAULT_EPSILON,
-    "g0": 100.0,
-    "alpha": 20.0,
-    "population": 50,
-    "dims": 30,
-    "max_iters": 1000,
-    "seed": 42,
-    "function": "sphere",
-    "repetitions": 25,
-    "deterministic_weights": False,
-    "kbest_initial_fraction": 1.0,
+
+class Setting(NamedTuple):
+    """A setting's flag (None: config file only), default, readers and help.
+    The flag parses the default's type; a False default makes it a switch.
+    A None default is a list of numbers the command works out when unset."""
+
+    flag: str | None
+    default: object
+    commands: tuple[str, ...]
+    help: str
+
+
+_ALL, _SEARCH = ("run", "probe", "compare"), ("run", "compare")
+
+SETTINGS = {
+    "kernel": Setting("--kernel", "original", ("run", "probe"), f"force kernel: {KERNEL_CHOICES}"),
+    "epsilon": Setting("--epsilon", DEFAULT_EPSILON, _ALL, "softening in the force denominator"),
+    "g0": Setting("--g0", 100.0, _ALL, "gravitational constant: a run's initial G, the probe's G"),
+    "alpha": Setting("--alpha", 20.0, _SEARCH, "decay rate of the G schedule"),
+    "population": Setting("--pop", 50, _SEARCH, "population size"),
+    "dims": Setting("--dims", 30, _SEARCH, "search-space dimensionality"),
+    "max_iters": Setting("--iters", 1000, _SEARCH, "iteration budget"),
+    "seed": Setting("--seed", 42, _SEARCH, "64-bit unsigned RNG seed"),
+    "function": Setting("--function", "sphere", ("run",),
+                        "objective: " + ", ".join(objective_names())),
+    "repetitions": Setting("--reps", 25, ("compare",), "repetitions per cell"),
+    "deterministic_weights": Setting("--deterministic", False, _SEARCH,
+                                     "disable stochastic force/velocity weighting"),
+    "kbest_initial_fraction": Setting(None, 1.0, _SEARCH, "share of the agents in Kbest at first"),
+    "lower_bound": Setting(None, None, ("run",), "lower box edges (default: the objective's)"),
+    "upper_bound": Setting(None, None, ("run",), "upper box edges (default: the objective's)"),
+    "probe_r_values": Setting(None, None, ("probe",), "probe distances (default: 25 up to 1e6)"),
 }
 
-# File-only settings, each a list of numbers; None means the built-in one.
-_NUMBER_LISTS = ("lower_bound", "upper_bound", "probe_r_values")
-# Every setting but epsilon (which a config file sets inside "kernel"),
-# plus the file-only lists.
-_CONFIG_FILE_KEYS = (set(DEFAULTS) - {"epsilon"}) | set(_NUMBER_LISTS)
+
+def _config_keys(command: str) -> str:
+    """The config-file keys ``command`` reads, sorted, for messages."""
+    keys = ("kernel.epsilon" if key == "epsilon" else key
+            for key, setting in SETTINGS.items() if command in setting.commands)
+    return ", ".join(sorted(keys))
 
 
 def parse_kernel(text: str, epsilon: float) -> KernelSpec:
@@ -111,138 +130,104 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="{run,probe,compare}")
-
-    def add(p, *names, **kwargs):
-        kwargs.setdefault("default", argparse.SUPPRESS)
-        action = p.add_argument(*names, **kwargs)
-        if action.dest in DEFAULTS:
-            default = DEFAULTS[action.dest]
-            if isinstance(default, bool):
-                default = "on" if default else "off"
-            action.help += f" (default: {default})"
-
-    def add_common_numeric(p):
-        add(p, "--g0", type=float, help="initial gravitational constant")
-        add(p, "--alpha", type=float, help="decay rate of the G schedule")
-        add(p, "--pop", type=int, dest="population", help="population size")
-        add(p, "--dims", type=int, help="search-space dimensionality")
-        add(p, "--iters", type=int, dest="max_iters", help="iteration budget")
-        add(p, "--seed", type=int, help="64-bit unsigned RNG seed")
-
-    def add_kernel(p):
-        add(p, "--kernel", help=f"force kernel: {KERNEL_CHOICES}")
-        add(p, "--epsilon", type=float, help="softening constant in the force denominator")
-
-    def add_config(p):
-        add(p, "--config", help="JSON config file mirroring the run configuration "
-                                "(default: none)")
-
-    p_run = sub.add_parser(
-        "run", help="one optimization run, trace CSV to --trace or stdout"
+    commands = (
+        ("run", "one optimization run, trace CSV to --trace or stdout",
+         [("--trace", {"help": "trace CSV output path (default: stdout)"})]),
+        ("probe", "fit the kernel's force-magnitude distance exponent",
+         [("--out", {"help": "probe CSV output path (default: stdout)"})]),
+        ("compare", "kernel comparison grid: {original, linear, square} on all "
+                    "objectives; writes results and summary CSVs",
+         [("--out", {"help": "results CSV path; the summary CSV lands next to it with "
+                             "an '_summary' suffix (default: results.csv)"}),
+          ("--no-timing", {"action": "store_true", "help": "write 0 in wall_seconds for "
+                           "byte-reproducible output (default: off)"}),
+          ("--jobs", {"type": int, "help": "worker processes for the grid; 0 = one per "
+                      "usable core (default: 0)"})]),
     )
-    add_kernel(p_run)
-    add_common_numeric(p_run)
-    add(p_run, "--function", help="objective: " + ", ".join(objective_names()))
-    add(p_run, "--deterministic", action="store_true", dest="deterministic_weights",
-        help="disable stochastic force/velocity weighting")
-    add(p_run, "--trace", help="trace CSV output path (default: stdout)")
-    add_config(p_run)
-
-    p_probe = sub.add_parser(
-        "probe", help="fit the kernel's force-magnitude distance exponent"
-    )
-    add_kernel(p_probe)
-    add(p_probe, "--g0", type=float, help="gravitational constant used for the probe")
-    add(p_probe, "--out", help="probe CSV output path (default: stdout)")
-    add_config(p_probe)
-
-    p_compare = sub.add_parser(
-        "compare",
-        help="kernel comparison grid: {original, linear, square} on all "
-             "objectives; writes results and summary CSVs",
-    )
-    add(p_compare, "--epsilon", type=float, help="softening constant for all compared kernels")
-    add_common_numeric(p_compare)
-    add(p_compare, "--reps", type=int, dest="repetitions", help="repetitions per cell")
-    add(p_compare, "--deterministic", action="store_true", dest="deterministic_weights",
-        help="disable stochastic force/velocity weighting")
-    add(p_compare, "--out",
-        help="results CSV path; the summary CSV lands next to it with an "
-             "'_summary' suffix (default: results.csv)")
-    add(p_compare, "--no-timing", action="store_true", dest="no_timing",
-        help="write 0 in wall_seconds for byte-reproducible output (default: off)")
-    add(p_compare, "--jobs", type=int,
-        help="worker processes for the grid; 0 = one per usable core (default: 0)")
-    add_config(p_compare)
-
+    for command, summary, outputs in commands:
+        p = sub.add_parser(command, help=summary)
+        for key, setting in SETTINGS.items():
+            if setting.flag and command in setting.commands:
+                if isinstance(setting.default, bool):
+                    parse, shown = {"action": "store_true"}, "off"
+                else:
+                    parse, shown = {"type": type(setting.default)}, setting.default
+                p.add_argument(setting.flag, dest=key, default=argparse.SUPPRESS,
+                               help=f"{setting.help} (default: {shown})", **parse)
+        for flag, options in outputs:
+            p.add_argument(flag, default=argparse.SUPPRESS, **options)
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help=f"JSON config file with any of the keys {_config_keys(command)} "
+                            "(default: none)")
     return parser
 
 
-def parse_args(argv) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
-
-
 def _check_type(key: str, value, default) -> None:
-    """Reject a config-file value whose JSON type does not fit its default's."""
-    if isinstance(default, bool):
-        fits, expected = isinstance(value, bool), "true or false"
-    else:
+    """Reject a config-file value whose JSON type does not fit its default's;
+    a None default stands for a list of numbers."""
+
+    def number(item) -> bool:
         # bool is an int subclass, so a JSON true would pass as 1
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if isinstance(default, int):
-            fits = number and (isinstance(value, int) or value.is_integer())
-            expected = "an integer"
-        else:
-            fits, expected = number, "a number"
+        return isinstance(item, (int, float)) and not isinstance(item, bool)
+
+    if default is None:
+        fits = isinstance(value, list) and all(map(number, value))
+        expected = "a list of numbers"
+    elif isinstance(default, bool):
+        fits, expected = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        fits = number(value) and (isinstance(value, int) or value.is_integer())
+        expected = "an integer"
+    else:
+        fits, expected = number(value), "a number"
     if not fits:
         raise ConfigError(f"config key '{key}' must be {expected}, got {value!r}")
 
 
-def _load_config_file(path: str) -> dict:
-    """Settings from a JSON config file, with its kernel object flattened."""
+def _load_config_file(path: str, command: str) -> dict:
+    """The settings a JSON config file gives ``command``.
+
+    A kernel object sets "kernel" only when it has a "kind", so a file
+    for ``compare`` can set the softening alone: {"kernel": {"epsilon": 0}}.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    unknown = set(data) - _CONFIG_FILE_KEYS
-    if unknown:
-        raise ConfigError(
-            "unknown config keys: " + ", ".join(sorted(unknown))
-            + "; valid keys: " + ", ".join(sorted(_CONFIG_FILE_KEYS))
-        )
+    if "epsilon" in data:
+        raise ConfigError("config key 'epsilon' belongs in the kernel object")
     kernel = data.pop("kernel", None)
-    for key, value in data.items():
-        if key in _NUMBER_LISTS:
-            if not isinstance(value, list):
-                raise ConfigError(f"config key '{key}' must be a list of numbers, got {value!r}")
-            for item in value:
-                _check_type(key, item, 0.0)
-        elif not isinstance(DEFAULTS[key], str):
-            _check_type(key, value, DEFAULTS[key])
     if isinstance(kernel, dict):
         unknown = set(kernel) - {"kind", "exponent", "epsilon"}
         if unknown:
             raise ConfigError("unknown kernel keys: " + ", ".join(sorted(unknown)))
-        data["kernel"] = kernel.get("kind", "original")
-        if data["kernel"] == "power":
-            if "exponent" not in kernel:
-                raise ConfigError("power kernel needs an 'exponent'")
+        if ("exponent" in kernel) != (kernel.get("kind") == "power"):
+            raise ConfigError("a kernel object has an 'exponent' exactly when its kind is 'power'")
+        if "kind" in kernel:
+            data["kernel"] = kernel["kind"]
+        if "exponent" in kernel:
             _check_type("kernel.exponent", kernel["exponent"], 0.0)
             data["kernel"] = f"power:{kernel['exponent']}"
         if "epsilon" in kernel:
-            _check_type("kernel.epsilon", kernel["epsilon"], DEFAULTS["epsilon"])
+            _check_type("kernel.epsilon", kernel["epsilon"], DEFAULT_EPSILON)
             data["epsilon"] = kernel["epsilon"]
     elif kernel is not None:
         data["kernel"] = kernel
+    for key, value in data.items():
+        if key not in SETTINGS or command not in SETTINGS[key].commands:
+            raise ConfigError(f"{command} does not read config key '{key}'; "
+                              f"it reads: {_config_keys(command)}")
+        if not isinstance(SETTINGS[key].default, str):
+            _check_type(key, value, SETTINGS[key].default)
     return data
 
 
 def _merged_settings(args: argparse.Namespace) -> dict:
-    settings = dict(DEFAULTS, **dict.fromkeys(_NUMBER_LISTS))
+    settings = {key: setting.default for key, setting in SETTINGS.items()}
     given = vars(args)
     if "config" in given:
-        settings.update(_load_config_file(given["config"]))
-    settings.update((key, value) for key, value in given.items() if key in DEFAULTS)
+        settings.update(_load_config_file(given["config"], args.command))
+    settings.update((key, value) for key, value in given.items() if key in SETTINGS)
     return settings
 
 
@@ -288,12 +273,6 @@ def _summary_path(results_path: str) -> Path:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     settings = _merged_settings(args)
-    for key in ("lower_bound", "upper_bound"):
-        if settings[key] is not None:
-            raise ConfigError(
-                f"compare takes no config key '{key}': each objective runs in "
-                "its own standard box"
-            )
     base, _ = _build_config(settings)
     epsilon = base.kernel.epsilon
     kernels = (
@@ -371,7 +350,7 @@ def execute(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     return execute(args)

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from .core import GsaConfig, RunTrace
-from .kernels import forces
+from .kernels import ForceOverflowError, forces
 
 #: Softening added to the acceleration denominator; the worst agent's
 #: mass is exactly zero under min-max scaling, so a = F / m needs it.
@@ -214,9 +214,12 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
         weights[drawn] = state.rng.random(n * k - k)
     weights = weights.reshape(n, k)
 
-    accel = forces(
-        state.positions, state.masses, state.g_current, config.kernel, members, weights
-    )
+    try:
+        accel = forces(state.positions, state.masses, state.g_current, config.kernel,
+                       members, weights)
+    except ForceOverflowError:
+        raise ForceOverflowError(f"force overflow at iteration {iteration}; "
+                                 "increase epsilon") from None
     accel /= (state.masses + MASS_SOFTENING)[:, None]
 
     if config.deterministic_weights:

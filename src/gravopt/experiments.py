@@ -26,8 +26,10 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .core import GsaConfig, KernelSpec, ProbeReport, RunTrace
-from .engine import RNG_NAME, run
+from .engine import RNG_NAME, DivergenceError, EvaluationError, run
+from .kernels import ForceOverflowError, usable_cores
 from .objectives import ObjectiveSpec, make_objective
 
 RESULTS_HEADER = "kernel,objective,repetition,seed,final_best,iters,wall_seconds"
@@ -112,10 +114,10 @@ def _run_cell(args: tuple[GsaConfig, str, int]) -> ResultRow:
     started = time.perf_counter()
     try:
         trace = run(config, objective.function)
-    except Exception as exc:
-        raise RuntimeError(
+    except (DivergenceError, EvaluationError, ForceOverflowError) as exc:
+        raise type(exc)(
             f"run failed for kernel={config.kernel.name} objective={objective_name} "
-            f"seed={config.seed}: {exc}"
+            f"repetition={repetition} seed={config.seed}: {exc}"
         ) from exc
     elapsed = time.perf_counter() - started
     return ResultRow(
@@ -133,8 +135,9 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     """Run every grid cell; rows ordered (objective, kernel, repetition).
 
     jobs > 1 executes cells in a process pool of at most one worker per
-    cell; row order and content (apart from wall_seconds) are identical
-    to the serial mode.
+    cell, each worker splitting its force calls over its share of the
+    usable cores; row order and content (apart from wall_seconds) are
+    identical to the serial mode.
     """
     cells = [
         (cell_config(plan, kernel, objective, rep), objective.name, rep)
@@ -145,8 +148,15 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     workers = min(jobs, len(cells))
     if workers <= 1:
         return [_run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    share = max(1, usable_cores() // workers)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share_cores,
+                             initargs=(share,)) as pool:
         return list(pool.map(_run_cell, cells))
+
+
+def _share_cores(cores: int) -> None:
+    """Pool initializer: this worker's force calls split over ``cores`` threads."""
+    kernels.force_threads = cores
 
 
 @dataclass(frozen=True)

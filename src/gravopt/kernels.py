@@ -31,7 +31,8 @@ the subtraction runs over k * d contiguous elements instead of d at a
 time; each difference is still the one IEEE subtraction x_j - x_i.
 A call that holds more than one block (n * k * d > ``CHUNK_ELEMENTS``)
 splits the agents into contiguous parts, one per usable core
-(``usable_cores``), and walks each part's row blocks on its own thread:
+(``usable_cores``; ``force_threads`` if set), and walks each part's row
+blocks on its own thread:
 numpy releases the interpreter lock inside its array calls, so the parts
 run in parallel. The budget stays per call, shared by the parts, and
 every row goes through the same arithmetic, so the result is the same
@@ -57,6 +58,11 @@ from .core import KernelSpec, ProbeReport
 #: Row-block budget of one ``forces`` call, in (agent, Kbest member,
 #: dimension) differences, shared by all its parts: 8 MiB of float64.
 CHUNK_ELEMENTS = 1 << 20
+
+#: Most threads one ``forces`` call splits over; None means one per usable
+#: core. Each of ``run_grid``'s W pool workers sets it to its share of the
+#: cores, usable_cores() // W, so the pool runs no more threads than cores.
+force_threads: int | None = None
 
 #: 25 logarithmically spaced probe distances spanning nine decades.
 DEFAULT_PROBE_DISTANCES: tuple[float, ...] = tuple(np.geomspace(1e-3, 1e6, 25))
@@ -97,15 +103,16 @@ def forces(
     exactly antisymmetric and always point from i toward j. Agents are
     processed in row blocks of at most ``CHUNK_ELEMENTS`` differences in
     all; when that is more than one block, contiguous parts of the rows
-    run on one thread per usable core, the calling thread taking the
-    first, with bit-identical results. Callers validate their inputs.
+    run on one thread per usable core (``force_threads`` if set), the
+    calling thread taking the first, with bit-identical results.
+    Callers validate their inputs.
     """
     sources = positions[kbest]
     source_masses = masses[kbest]
     k, d = sources.shape
     n = positions.shape[0]
     width = max(k * d, 1)
-    parts = min(usable_cores(), n) if n * width > CHUNK_ELEMENTS else 1
+    parts = min(force_threads or usable_cores(), n) if n * width > CHUNK_ELEMENTS else 1
     rows = max(1, CHUNK_ELEMENTS // (parts * width))
     total = np.empty(positions.shape)
     shared = (sources, source_masses, g, kernel, rows)

@@ -6,6 +6,7 @@ minutes on a small machine.
 """
 
 import filecmp
+import itertools
 import math
 import time
 from functools import lru_cache
@@ -22,7 +23,7 @@ from gravopt import (
     run_grid,
 )
 from gravopt.cli import main as cli_main
-from gravopt.engine import compute_masses, initialize
+from gravopt.engine import compute_masses, initialize, run
 from gravopt.experiments import cell_config
 from gravopt.objectives import sphere
 
@@ -327,4 +328,48 @@ def test_criterion_9_kernel_comparison_reproduction(tmp_path, capsys):
         "criterion 9: full compare grid emits both CSVs and win-count report",
         ok,
         f"elapsed={elapsed:.1f}s; " + " | ".join(direction),
+    )
+
+
+def test_criterion_10_run_scaling_law():
+    # Sphere is homogeneous of degree 2. Scaling the box by lam = 2**j and
+    # G0 and epsilon by lam**(q+1) scales every force term's distance part
+    # and its denominator alike, so the run is the same run, scaled;
+    # multiplying by a power of two is exact, so it holds bit for bit.
+    objective = make_objective("sphere", 6)
+
+    def scaled_run(q, epsilon, deterministic, seed, lam):
+        config = GsaConfig(
+            population=20,
+            dims=6,
+            lower_bound=np.full(6, -100.0 * lam),
+            upper_bound=np.full(6, 100.0 * lam),
+            kernel=KernelSpec.power_law(q, epsilon * lam ** (q + 1)),
+            g0=100.0 * lam ** (q + 1),
+            max_iters=200,
+            deterministic_weights=deterministic,
+            seed=seed,
+        )
+        return run(config, objective.function)
+
+    failures, runs = [], 0
+    cases = itertools.product((0.0, 1.0, 2.0, 1.5), (0.0, 1e-12), (False, True))
+    for seed, case in enumerate(cases, start=1):
+        case = (*case, seed)
+        base = scaled_run(*case, 1.0)
+        for lam in (2.0 ** -10, 4.0, 2.0 ** 20):
+            scaled = scaled_run(*case, lam)
+            runs += 1
+            exact = all(
+                np.array_equal(getattr(scaled, column), lam * lam * getattr(base, column))
+                for column in ("best_so_far", "population_best", "population_mean")
+            ) and np.array_equal(scaled.final_best_position, lam * base.final_best_position)
+            if not exact:
+                failures.append((*case, lam))
+    _report(
+        "criterion 10: box x lam, G0 and epsilon x lam**(q+1) scale a sphere run "
+        "exactly (traces x lam**2, best position x lam)",
+        not failures,
+        f"{runs - len(failures)}/{runs} runs exact; failures (q, eps, det, seed, lam): "
+        f"{failures[:5]}",
     )

@@ -8,24 +8,14 @@ import pytest
 
 from gravopt import GsaConfig, cli
 
-DOCUMENTED_FLAGS = [
-    "--kernel",
-    "--epsilon",
-    "--g0",
-    "--alpha",
-    "--pop",
-    "--dims",
-    "--iters",
-    "--seed",
-    "--function",
-    "--reps",
-    "--deterministic",
-    "--out",
-    "--trace",
-    "--config",
-    "--no-timing",
-    "--jobs",
-]
+# Each command's flags, in --help order.
+COMMAND_FLAGS = {
+    "run": ["--kernel", "--epsilon", "--g0", "--alpha", "--pop", "--dims", "--iters",
+            "--seed", "--function", "--deterministic", "--trace", "--config"],
+    "probe": ["--kernel", "--epsilon", "--g0", "--out", "--config"],
+    "compare": ["--epsilon", "--g0", "--alpha", "--pop", "--dims", "--iters", "--seed",
+                "--reps", "--deterministic", "--out", "--no-timing", "--jobs", "--config"],
+}
 
 # The default each flag whose dest is a settings key prints in --help.
 PRINTED_DEFAULTS = {
@@ -45,6 +35,26 @@ PRINTED_DEFAULTS = {
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+def small_argv(command, tmp_path):
+    """Flags that keep ``command`` quick and its output in tmp_path."""
+    out = str(tmp_path / "out.csv")
+    size = ["--pop", "4", "--dims", "2", "--iters", "2"]
+    return {
+        "run": [*size, "--trace", out],
+        "probe": ["--out", out],
+        "compare": [*size, "--reps", "1", "--jobs", "1", "--out", out],
+    }[command]
+
+
+def help_entries(command, capsys):
+    """Each option of ``command --help`` but -h, its wrapped help joined
+    onto one line."""
+    assert cli.main([command, "--help"]) == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    # the split leaves an empty piece before -h, --help
+    return [" ".join(entry.split()) for entry in re.split(r"\n  (?=-)", options)][2:]
 
 
 def probe_footer(path):
@@ -104,19 +114,19 @@ class TestParsing:
         assert cli.main(["--help"]) == 0
 
     def test_help_lists_every_flag_with_default(self, capsys):
-        entries = []
-        for sub in ("run", "probe", "compare"):
-            cli.main([sub, "--help"])
-            options = capsys.readouterr().out.split("options:", 1)[1]
-            # one entry per option, its wrapped help joined onto one line
-            entries += [" ".join(entry.split()) for entry in re.split(r"\n  (?=-)", options)]
-        for flag in DOCUMENTED_FLAGS:
-            own = [entry for entry in entries if entry.split()[:1] == [flag]]
-            assert own, f"{flag} missing from help"
-            for entry in own:
+        for command, flags in COMMAND_FLAGS.items():
+            for flag, entry in zip(flags, help_entries(command, capsys)):
+                assert entry.split()[0] == flag
                 assert "(default: " in entry, f"{flag} help lacks its default"
                 if flag in PRINTED_DEFAULTS:
                     assert entry.endswith(f"(default: {PRINTED_DEFAULTS[flag]})"), entry
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_lists_exactly_the_command_flags(self, command, capsys):
+        listed = [entry.split()[0] for entry in help_entries(command, capsys)]
+        assert listed == COMMAND_FLAGS[command]
+        table = [s.flag for s in cli.SETTINGS.values() if s.flag and command in s.commands]
+        assert [flag for flag in listed if flag in table] == table
 
 
 class TestConfigFile:
@@ -192,8 +202,8 @@ class TestConfigFile:
     def test_mistyped_value_rejected(self, key, value, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({key: value}))
-        small = ["--pop", "4", "--dims", "2", "--iters", "2", "--trace", str(tmp_path / "t.csv")]
-        assert cli.main(["run", "--config", str(config), *small]) == 2
+        command = cli.SETTINGS[key].commands[0]
+        assert cli.main([command, "--config", str(config), *small_argv(command, tmp_path)]) == 2
         assert f"config key '{key}' must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [True, False, "1e-12", None])
@@ -210,10 +220,47 @@ class TestConfigFile:
         assert cli.main(["probe", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
         assert "config key 'kernel.exponent' must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kernel", [{"kind": "power"}, {"exponent": 2.0}, {"kind": "square", "exponent": 1.0}]
+    )
+    def test_exponent_only_with_power_kind(self, kernel, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"kernel": kernel}))
+        assert cli.main(["probe", "--config", str(config), *small_argv("probe", tmp_path)]) == 2
+        assert "'exponent' exactly when its kind is 'power'" in capsys.readouterr().err
+
     def test_every_run_setting_is_a_config_key(self):
-        # a new GsaConfig field must be declared in DEFAULTS (or be a
-        # file-only list) before a config file or flag can set it
-        assert {field.name for field in fields(GsaConfig)} <= cli._CONFIG_FILE_KEYS
+        # a new GsaConfig field must be declared in SETTINGS, read by
+        # run, before a config file or flag can set it
+        run_keys = {key for key, setting in cli.SETTINGS.items() if "run" in setting.commands}
+        assert {field.name for field in fields(GsaConfig)} <= run_keys
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command in ("run", "probe", "compare")
+         for key, setting in cli.SETTINGS.items() if command not in setting.commands],
+    )
+    def test_unread_config_key_rejected(self, command, key, tmp_path, capsys):
+        # a well-typed value, so only the command's reading of it can fail
+        value = cli.SETTINGS[key].default
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: [1.0, 2.0] if value is None else value}))
+        assert cli.main([command, "--config", str(config), *small_argv(command, tmp_path)]) == 2
+        assert f"{command} does not read config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_compare_takes_epsilon_in_a_kernel_object(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"kernel": {"epsilon": 0}}))
+        argv = ["compare", "--config", str(config), *small_argv("compare", tmp_path)]
+        assert cli.main(argv) == 0
+        assert "epsilon=0.0 " in capsys.readouterr().out
+
+    def test_top_level_epsilon_rejected(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"epsilon": 0.0}))
+        assert cli.main(["probe", "--config", str(config), *small_argv("probe", tmp_path)]) == 2
+        assert "belongs in the kernel object" in capsys.readouterr().err
 
     def test_boolean_g0_and_alpha_rejected(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -365,8 +412,19 @@ class TestCompareCommand:
                 "--reps", "1", "--out", str(out)]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert f"config key '{key}'" in err and "own standard box" in err
+        assert f"compare does not read config key '{key}'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cell_failure_is_numeric_failure(self, jobs, tmp_path, capsys):
+        # G0 = 1e308 with epsilon 0 overflows the square kernel's forces
+        argv = ["compare", "--g0", "1e308", "--alpha", "0", "--epsilon", "0", "--pop", "4",
+                "--dims", "1", "--iters", "100", "--reps", "1", "--seed", "1",
+                "--jobs", jobs, "--out", str(tmp_path / "r.csv")]
+        assert cli.main(argv) == 3
+        assert ("numeric failure: run failed for kernel=square objective=rosenbrock "
+                "repetition=0 seed=17872783221726935257: force overflow at iteration 1"
+                ) in capsys.readouterr().err
 
     def test_negative_jobs_rejected(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -29,7 +29,9 @@ from gravopt.experiments import (
     write_summary_csv,
     write_trace_csv,
 )
+from gravopt import experiments, kernels
 from gravopt.engine import run
+from gravopt.kernels import forces
 from gravopt.objectives import sphere
 
 
@@ -65,6 +67,17 @@ def make_row(kernel="original", objective="sphere", rep=0, final=1.0):
         iters=5,
         wall_seconds=0.1,
     )
+
+
+def force_threads_and_rows(cell):
+    """Stands in for a grid cell: the calling process's force-thread budget
+    and the rows of a force call big enough to split (300 x 300 x 30)."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    positions = rng.uniform(-1.0, 1.0, (300, 30))
+    masses = rng.uniform(0.1, 1.0, 300)
+    rows = forces(positions, masses, 1.0, KernelSpec.inverse_square(), np.arange(300),
+                  rng.random((300, 300)))
+    return kernels.force_threads, rows
 
 
 class TestSeedDerivation:
@@ -156,7 +169,7 @@ class TestRunGrid:
         started = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -174,6 +187,15 @@ class TestRunGrid:
         assert started == [8]
         untimed = [replace(row, wall_seconds=0.0) for row in pooled]
         assert untimed == [replace(row, wall_seconds=0.0) for row in run_grid(plan, jobs=1)]
+
+    def test_pool_workers_split_forces_over_their_share_of_cores(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cores", lambda: 5)
+        monkeypatch.setattr(experiments, "_run_cell", force_threads_and_rows)
+        pooled = run_grid(small_plan(repetitions=1), jobs=2)
+        monkeypatch.setattr(kernels, "force_threads", 1)
+        _, serial = force_threads_and_rows(None)
+        assert [threads for threads, _ in pooled] == [2] * 4  # 5 cores // 2 workers
+        assert all(np.array_equal(rows, serial) for _, rows in pooled)
 
     def test_single_cell_never_starts_a_pool(self, monkeypatch):
         def no_pool(max_workers):
