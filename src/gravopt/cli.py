@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_EPSILON, ConfigError, GsaConfig, KernelSpec
+from .core import DEFAULT_EPSILON, KERNEL_CHOICES, KERNEL_NAMES, ConfigError, GsaConfig, KernelSpec
 from .engine import DivergenceError, EvaluationError, run
 from .experiments import (
     ExperimentPlan,
@@ -39,20 +39,13 @@ from .experiments import (
     write_summary_csv,
     write_trace_csv,
 )
-from .kernels import (
-    DEFAULT_PROBE_DISTANCES,
-    ForceOverflowError,
-    probe_exponent,
-    usable_cores,
-)
+from .kernels import DEFAULT_PROBE_DISTANCES, ForceOverflowError, probe_exponent
 from .objectives import ObjectiveSpec, make_objective, objective_names
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-KERNEL_CHOICES = "original, linear, square, power:<q>"
 
 
 class Setting(NamedTuple):
@@ -96,26 +89,6 @@ def _config_keys(command: str) -> str:
     return ", ".join(sorted(keys))
 
 
-def parse_kernel(text: str, epsilon: float) -> KernelSpec:
-    """Kernel from its CLI name: original | linear | square | power:<q>."""
-    token = str(text).strip().lower()
-    if token == "original":
-        return KernelSpec.original(epsilon)
-    if token == "linear":
-        return KernelSpec.inverse_linear(epsilon)
-    if token == "square":
-        return KernelSpec.inverse_square(epsilon)
-    if token.startswith("power:"):
-        try:
-            exponent = float(token.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(
-                f"bad power-law exponent in '{text}'; valid kernels: {KERNEL_CHOICES}"
-            ) from None
-        return KernelSpec.power_law(exponent, epsilon)
-    raise ConfigError(f"unknown kernel '{text}'; valid kernels: {KERNEL_CHOICES}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravopt",
@@ -135,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
          [("--trace", {"help": "trace CSV output path (default: stdout)"})]),
         ("probe", "fit the kernel's force-magnitude distance exponent",
          [("--out", {"help": "probe CSV output path (default: stdout)"})]),
-        ("compare", "kernel comparison grid: {original, linear, square} on all "
+        ("compare", f"kernel comparison grid: {{{', '.join(KERNEL_NAMES)}}} on all "
                     "objectives; writes results and summary CSVs",
          [("--out", {"help": "results CSV path; the summary CSV lands next to it with "
                              "an '_summary' suffix (default: results.csv)"}),
@@ -238,7 +211,7 @@ def _build_config(settings: dict) -> tuple[GsaConfig, ObjectiveSpec]:
     and checks the values.
     """
     values = {field.name: settings[field.name] for field in fields(GsaConfig)}
-    values["kernel"] = parse_kernel(settings["kernel"], settings["epsilon"])
+    values["kernel"] = KernelSpec.named(settings["kernel"], settings["epsilon"])
     objective = make_objective(settings["function"], settings["dims"])
     for key, edge in (("lower_bound", objective.default_lower),
                       ("upper_bound", objective.default_upper)):
@@ -257,7 +230,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     settings = _merged_settings(args)
-    kernel = parse_kernel(settings["kernel"], settings["epsilon"])
+    kernel = KernelSpec.named(settings["kernel"], settings["epsilon"])
     grid = settings["probe_r_values"]
     r_values = DEFAULT_PROBE_DISTANCES if grid is None else grid
     report = probe_exponent(kernel, settings["g0"], 1.0, 1.0, r_values)
@@ -275,11 +248,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     settings = _merged_settings(args)
     base, _ = _build_config(settings)
     epsilon = base.kernel.epsilon
-    kernels = (
-        KernelSpec.original(epsilon),
-        KernelSpec.inverse_linear(epsilon),
-        KernelSpec.inverse_square(epsilon),
-    )
+    kernels = tuple(KernelSpec.named(name, epsilon) for name in KERNEL_NAMES)
     objectives = tuple(make_objective(name, base.dims) for name in objective_names())
     plan = ExperimentPlan(
         base_config=base,
@@ -287,12 +256,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         objectives=objectives,
         repetitions=settings["repetitions"],
     )
-    jobs = getattr(args, "jobs", 0)
-    if jobs < 0:
-        raise ConfigError(f"--jobs must be >= 0 (0 = one per usable core), got {jobs}")
-    if jobs == 0:
-        jobs = usable_cores()
-    rows = run_grid(plan, jobs=jobs)
+    rows = run_grid(plan, jobs=getattr(args, "jobs", 0))
     summary = summarize(rows)
 
     out_path = getattr(args, "out", "results.csv")
@@ -358,3 +322,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

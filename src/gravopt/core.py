@@ -19,6 +19,11 @@ DEFAULT_EPSILON = 1e-12
 
 _UINT64_MAX = 2**64 - 1
 
+#: The force laws with a name of their own, by distance exponent q; any
+#: other q >= 0 is named "power:<q>".
+KERNEL_NAMES = {"original": 0.0, "linear": 1.0, "square": 2.0}
+KERNEL_CHOICES = ", ".join(KERNEL_NAMES) + ", power:<q>"
+
 
 class ConfigError(ValueError):
     """A run configuration violates one of its invariants."""
@@ -49,8 +54,9 @@ class KernelSpec:
     epsilon = 0 the magnitude is G*m_i*m_j / R**q. The per-component rule
     divides by R**(q+1) + epsilon, so q = 0 reproduces the classic GSA
     rule G*m_i*m_j / (R + epsilon) * (x_j - x_i) bit for bit, while q = 1
-    and q = 2 give the inverse-linear and inverse-square laws. The named
-    constructors are exact aliases of ``power_law`` at q = 0, 1, 2.
+    and q = 2 give the inverse-linear and inverse-square laws, the three
+    exponents ``KERNEL_NAMES`` names; ``named`` and ``name`` convert
+    between a kernel and its name.
     """
 
     exponent: float
@@ -67,34 +73,30 @@ class KernelSpec:
         object.__setattr__(self, "epsilon", epsilon)
 
     @classmethod
-    def original(cls, epsilon: float = DEFAULT_EPSILON) -> "KernelSpec":
-        """Classic GSA rule: magnitude independent of distance."""
-        return cls(0.0, epsilon)
-
-    @classmethod
-    def inverse_linear(cls, epsilon: float = DEFAULT_EPSILON) -> "KernelSpec":
-        """Magnitude proportional to 1/R (denominator R**2)."""
-        return cls(1.0, epsilon)
-
-    @classmethod
-    def inverse_square(cls, epsilon: float = DEFAULT_EPSILON) -> "KernelSpec":
-        """Magnitude proportional to 1/R**2 (denominator R**3)."""
-        return cls(2.0, epsilon)
-
-    @classmethod
-    def power_law(cls, exponent: float, epsilon: float = DEFAULT_EPSILON) -> "KernelSpec":
-        return cls(float(exponent), epsilon)
+    def named(cls, text: str, epsilon: float) -> "KernelSpec":
+        """Kernel from its name: original | linear | square | power:<q>."""
+        token = str(text).strip().lower()
+        if token in KERNEL_NAMES:
+            return cls(KERNEL_NAMES[token], epsilon)
+        if token.startswith("power:"):
+            try:
+                exponent = float(token.split(":", 1)[1])
+            except ValueError:
+                raise ConfigError(
+                    f"bad power-law exponent in '{text}'; valid kernels: {KERNEL_CHOICES}"
+                ) from None
+            return cls(exponent, epsilon)
+        raise ConfigError(f"unknown kernel '{text}'; valid kernels: {KERNEL_CHOICES}")
 
     @property
     def name(self) -> str:
-        """Canonical name used by the CLI and in CSV output."""
-        if self.exponent == 0.0:
-            return "original"
-        if self.exponent == 1.0:
-            return "linear"
-        if self.exponent == 2.0:
-            return "square"
-        return f"power:{self.exponent:g}"
+        """Canonical name used by the CLI and in CSV output; ``named``
+        parses it back to this exponent exactly."""
+        for name, exponent in KERNEL_NAMES.items():
+            if self.exponent == exponent:
+                return name
+        short = f"{self.exponent:g}"
+        return f"power:{short if float(short) == self.exponent else repr(self.exponent)}"
 
 
 @dataclass(frozen=True)

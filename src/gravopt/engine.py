@@ -265,21 +265,24 @@ def run(config: GsaConfig, objective: Objective) -> RunTrace:
 
     Bit-identical traces for identical (config, objective). Raises
     EvaluationError when the population's mean fitness overflows.
+    Overflow warnings are silenced: every overflow that leaves a
+    non-finite value ends the run in ForceOverflowError, DivergenceError
+    or EvaluationError naming the iteration.
     """
-    state = initialize(config, objective)
     best_so_far = np.empty(config.max_iters)
     population_best = np.empty(config.max_iters)
     population_mean = np.empty(config.max_iters)
-    for t in range(config.max_iters):
-        state = step(state, config, objective)
-        best_so_far[t] = state.best_so_far_fitness
-        population_best[t] = state.fitnesses.min()
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        state = initialize(config, objective)
+        for t in range(config.max_iters):
+            state = step(state, config, objective)
+            best_so_far[t] = state.best_so_far_fitness
+            population_best[t] = state.fitnesses.min()
             population_mean[t] = state.fitnesses.mean()
-        if not math.isfinite(population_mean[t]):
-            raise EvaluationError(
-                f"population mean fitness overflowed at iteration {state.iteration}"
-            )
+            if not math.isfinite(population_mean[t]):
+                raise EvaluationError(
+                    f"population mean fitness overflowed at iteration {state.iteration}"
+                )
     return RunTrace(
         best_so_far=best_so_far,
         population_best=population_best,

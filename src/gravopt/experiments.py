@@ -136,16 +136,19 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
 
     jobs > 1 executes cells in a process pool of at most one worker per
     cell, each worker splitting its force calls over its share of the
-    usable cores; row order and content (apart from wall_seconds) are
-    identical to the serial mode.
+    usable cores; jobs = 0 means one worker per usable core. Row order
+    and content (apart from wall_seconds) are identical to the serial
+    mode. A negative jobs raises ValueError.
     """
+    if jobs < 0:
+        raise ValueError(f"--jobs must be >= 0 (0 = one per usable core), got {jobs}")
     cells = [
         (cell_config(plan, kernel, objective, rep), objective.name, rep)
         for objective in plan.objectives
         for kernel in plan.kernels
         for rep in range(plan.repetitions)
     ]
-    workers = min(jobs, len(cells))
+    workers = min(jobs or usable_cores(), len(cells))
     if workers <= 1:
         return [_run_cell(cell) for cell in cells]
     share = max(1, usable_cores() // workers)

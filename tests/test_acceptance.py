@@ -112,7 +112,7 @@ def test_criterion_2_corrected_kernel_exponents(tmp_path):
 
 
 def test_criterion_3_distance_free_magnitude_closed_form():
-    kernel = KernelSpec.original(0.0)
+    kernel = KernelSpec(0.0, 0.0)
     started = time.perf_counter()
     worst = 0.0
     for x_i, x_j, m_i, m_j, g in _random_cases():
@@ -132,10 +132,10 @@ def test_criterion_3_distance_free_magnitude_closed_form():
 
 def test_criterion_4_antisymmetry_and_attraction():
     kernels = [
-        KernelSpec.original(0.0),
-        KernelSpec.inverse_linear(0.0),
-        KernelSpec.inverse_square(0.0),
-        KernelSpec.power_law(1.5, 0.0),
+        KernelSpec(0.0, 0.0),
+        KernelSpec(1.0, 0.0),
+        KernelSpec(2.0, 0.0),
+        KernelSpec(1.5, 0.0),
     ]
     antisymmetric = True
     attractive = True
@@ -157,7 +157,7 @@ def test_criterion_4_antisymmetry_and_attraction():
 
 
 def test_criterion_5_brute_force_oracle_equivalence():
-    kernel = KernelSpec.original()
+    kernel = KernelSpec(0.0)
     everyone = np.arange(10)
     unit_weights = np.ones((10, 10))
     rng = np.random.Generator(np.random.PCG64(55))
@@ -204,18 +204,18 @@ def test_criterion_6_scaling_law():
         m_i = 10.0 ** rng.uniform(-1.0, 1.0)
         m_j = 10.0 ** rng.uniform(-1.0, 1.0)
         base = {
-            q: _magnitude(KernelSpec.power_law(q, 0.0), 2.0, x_i, x_j, m_i, m_j)
+            q: _magnitude(KernelSpec(q, 0.0), 2.0, x_i, x_j, m_i, m_j)
             for q in (0.0, 1.0, 2.0)
         }
         for lam in (0.01, 1.0, 100.0):
             scaled = (lam * x_i, lam * x_j, m_i, m_j)
-            mag0 = _magnitude(KernelSpec.original(0.0), 2.0, *scaled)
+            mag0 = _magnitude(KernelSpec(0.0, 0.0), 2.0, *scaled)
             dev0 = abs(mag0 / base[0.0] - 1.0)
             worst_original = max(worst_original, dev0)
             if dev0 > 1e-12:
                 ok = False
             for q in (1.0, 2.0):
-                mag = _magnitude(KernelSpec.power_law(q, 0.0), 2.0, *scaled)
+                mag = _magnitude(KernelSpec(q, 0.0), 2.0, *scaled)
                 dev = abs(mag / (base[q] * lam ** (-q)) - 1.0)
                 worst_power = max(worst_power, dev)
                 if dev > 1e-9:
@@ -261,7 +261,7 @@ def test_criterion_8_optimization_sanity():
         dims=30,
         lower_bound=np.full(30, -100.0),
         upper_bound=np.full(30, 100.0),
-        kernel=KernelSpec.original(),
+        kernel=KernelSpec(0.0),
         g0=100.0,
         alpha=20.0,
         max_iters=1000,
@@ -272,7 +272,7 @@ def test_criterion_8_optimization_sanity():
     objective = make_objective("sphere", 30)
     plan = ExperimentPlan(
         base_config=base,
-        kernels=(KernelSpec.original(),),
+        kernels=(KernelSpec(0.0),),
         objectives=(objective,),
         repetitions=25,
     )
@@ -344,7 +344,7 @@ def test_criterion_10_run_scaling_law():
             dims=6,
             lower_bound=np.full(6, -100.0 * lam),
             upper_bound=np.full(6, 100.0 * lam),
-            kernel=KernelSpec.power_law(q, epsilon * lam ** (q + 1)),
+            kernel=KernelSpec(q, epsilon * lam ** (q + 1)),
             g0=100.0 * lam ** (q + 1),
             max_iters=200,
             deterministic_weights=deterministic,

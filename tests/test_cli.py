@@ -1,11 +1,16 @@
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gravopt
 from gravopt import GsaConfig, cli
 
 # Each command's flags, in --help order.
@@ -96,6 +101,14 @@ class TestParsing:
 
     def test_missing_subcommand_rejected(self):
         assert cli.main([]) == 2
+
+    def test_module_runs_its_command(self, tmp_path):
+        out = tmp_path / "p.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(gravopt.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "gravopt.cli", "probe", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert read(out).startswith("r,magnitude\n")
 
     def test_bench_is_not_a_command(self, capsys):
         assert cli.main(["bench"]) == 2
@@ -416,15 +429,18 @@ class TestCompareCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_cell_failure_is_numeric_failure(self, jobs, tmp_path, capsys):
-        # G0 = 1e308 with epsilon 0 overflows the square kernel's forces
+    def test_cell_failure_is_numeric_failure(self, jobs, tmp_path, capfd):
+        # G0 = 1e308 with epsilon 0 overflows the square kernel's forces;
+        # capfd, since pool workers write to the file descriptor
         argv = ["compare", "--g0", "1e308", "--alpha", "0", "--epsilon", "0", "--pop", "4",
                 "--dims", "1", "--iters", "100", "--reps", "1", "--seed", "1",
                 "--jobs", jobs, "--out", str(tmp_path / "r.csv")]
         assert cli.main(argv) == 3
-        assert ("numeric failure: run failed for kernel=square objective=rosenbrock "
-                "repetition=0 seed=17872783221726935257: force overflow at iteration 1"
-                ) in capsys.readouterr().err
+        assert capfd.readouterr().err == (
+            "gravopt: numeric failure: run failed for kernel=square objective=rosenbrock "
+            "repetition=0 seed=17872783221726935257: force overflow at iteration 1; "
+            "increase epsilon\n"
+        )
 
     def test_negative_jobs_rejected(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -432,15 +448,6 @@ class TestCompareCommand:
         assert cli.main(["compare", "--jobs", "-1", *small, "--out", str(out)]) == 2
         assert "--jobs must be >= 0" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_jobs_zero_is_one_per_usable_core(self, tmp_path, monkeypatch):
-        asked = []
-        serial_grid = cli.run_grid
-        monkeypatch.setattr(cli, "usable_cores", lambda: 3)
-        monkeypatch.setattr(cli, "run_grid", lambda plan, jobs: asked.append(jobs) or serial_grid(plan))
-        small = ["--reps", "1", "--iters", "2", "--pop", "4", "--dims", "2"]
-        assert cli.main(["compare", "--jobs", "0", *small, "--out", str(tmp_path / "r.csv")]) == 0
-        assert asked == [3]
 
     def test_compare_io_failure(self, tmp_path):
         code = cli.main(

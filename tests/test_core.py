@@ -15,7 +15,7 @@ def minimal_config(**overrides):
         dims=1,
         lower_bound=[-1.0],
         upper_bound=[1.0],
-        kernel=KernelSpec.original(),
+        kernel=KernelSpec(0.0),
         g0=100.0,
         alpha=20.0,
         max_iters=10,
@@ -28,33 +28,67 @@ def minimal_config(**overrides):
 
 
 class TestKernelSpec:
-    def test_named_kinds_are_power_law_aliases(self):
-        assert KernelSpec.original(1e-9) == KernelSpec.power_law(0.0, 1e-9)
-        assert KernelSpec.inverse_linear(1e-9) == KernelSpec.power_law(1.0, 1e-9)
-        assert KernelSpec.inverse_square(1e-9) == KernelSpec.power_law(2.0, 1e-9)
-
     def test_names(self):
-        assert KernelSpec.original().name == "original"
-        assert KernelSpec.inverse_linear().name == "linear"
-        assert KernelSpec.inverse_square().name == "square"
-        assert KernelSpec.power_law(1.5).name == "power:1.5"
+        assert KernelSpec(0.0).name == "original"
+        assert KernelSpec(1.0).name == "linear"
+        assert KernelSpec(2.0).name == "square"
+        assert KernelSpec(1.5).name == "power:1.5"
+        assert KernelSpec(3.0).name == "power:3"
+
+    def test_name_keeps_every_digit(self):
+        assert KernelSpec(1.2345678).name == "power:1.2345678"
+        assert KernelSpec(1.23457).name == "power:1.23457"
+
+    @pytest.mark.parametrize(
+        "text, exponent",
+        [("original", 0.0), ("linear", 1.0), ("square", 2.0), ("power:1.5", 1.5),
+         ("power:0", 0.0), ("power:2", 2.0), ("  Square ", 2.0), ("POWER: 2.5e0", 2.5)],
+    )
+    def test_named(self, text, exponent):
+        assert KernelSpec.named(text, 1e-9) == KernelSpec(exponent, 1e-9)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("cubic", "unknown kernel 'cubic'"), ("power", "unknown kernel 'power'"),
+         ("power:abc", "bad power-law exponent in 'power:abc'"),
+         ("power:", "bad power-law exponent in 'power:'")],
+    )
+    def test_bad_name_rejected(self, text, message):
+        with pytest.raises(ConfigError) as raised:
+            KernelSpec.named(text, 0.0)
+        assert str(raised.value) == (
+            f"{message}; valid kernels: original, linear, square, power:<q>"
+        )
+
+    @pytest.mark.parametrize("text", ["power:-1", "power:inf", "power:nan"])
+    def test_bad_power_value_rejected(self, text):
+        with pytest.raises(ValueError, match="exponent must be"):
+            KernelSpec.named(text, 0.0)
+
+    @given(
+        q=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        eps=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    )
+    def test_name_round_trips(self, q, eps):
+        spec = KernelSpec(q, eps)
+        assert KernelSpec.named(spec.name, spec.epsilon) == spec
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12])
     def test_bad_epsilon_rejected(self, bad):
         with pytest.raises(ValueError):
-            KernelSpec.original(epsilon=bad)
+            KernelSpec(0.0, epsilon=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
     def test_bad_exponent_rejected(self, bad):
         with pytest.raises(ValueError):
-            KernelSpec.power_law(bad)
+            KernelSpec(bad)
 
     @given(
         q=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
         eps=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     )
     def test_finite_nonnegative_always_accepted(self, q, eps):
-        spec = KernelSpec.power_law(q, eps)
+        spec = KernelSpec(q, eps)
         assert spec.exponent == q
         assert spec.epsilon == eps
 

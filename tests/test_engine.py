@@ -17,7 +17,7 @@ def make_config(**overrides):
         dims=2,
         lower_bound=np.full(2, -5.0),
         upper_bound=np.full(2, 5.0),
-        kernel=KernelSpec.original(),
+        kernel=KernelSpec(0.0),
         g0=100.0,
         alpha=20.0,
         max_iters=10,
@@ -226,7 +226,7 @@ class TestTotalForce:
     def test_matches_naive_double_loop(self):
         # independently coded oracle: plain double loop over the kernel formula
         rng = np.random.Generator(np.random.PCG64(9))
-        for kernel in (KernelSpec.original(), KernelSpec.inverse_square()):
+        for kernel in (KernelSpec(0.0), KernelSpec(2.0)):
             for _ in range(20):
                 state = initialize(
                     make_config(
@@ -368,7 +368,7 @@ class TestStep:
         config = make_config(
             population=n,
             dims=d,
-            kernel=KernelSpec.power_law(q, epsilon),
+            kernel=KernelSpec(q, epsilon),
             kbest_initial_fraction=fraction,
             deterministic_weights=deterministic,
             seed=seed,

@@ -41,12 +41,12 @@ def small_plan(kernels=None, objectives=None, repetitions=2, iters=5):
         dims=2,
         lower_bound=np.full(2, -1.0),
         upper_bound=np.full(2, 1.0),
-        kernel=KernelSpec.original(),
+        kernel=KernelSpec(0.0),
         max_iters=iters,
         seed=99,
     )
     if kernels is None:
-        kernels = (KernelSpec.original(), KernelSpec.inverse_square())
+        kernels = (KernelSpec(0.0), KernelSpec(2.0))
     if objectives is None:
         objectives = (make_objective("sphere", 3), make_objective("rastrigin", 3))
     return ExperimentPlan(
@@ -75,7 +75,7 @@ def force_threads_and_rows(cell):
     rng = np.random.Generator(np.random.PCG64(3))
     positions = rng.uniform(-1.0, 1.0, (300, 30))
     masses = rng.uniform(0.1, 1.0, 300)
-    rows = forces(positions, masses, 1.0, KernelSpec.inverse_square(), np.arange(300),
+    rows = forces(positions, masses, 1.0, KernelSpec(2.0), np.arange(300),
                   rng.random((300, 300)))
     return kernels.force_threads, rows
 
@@ -121,10 +121,32 @@ class TestPlan:
         assert config.seed == derive_seed(99, kernel.name, objective.name, 1)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Runs a grid's pool in this process; yields the worker counts asked for."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers, **options):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("gravopt.experiments.ProcessPoolExecutor", SerialPool)
+    return started
+
+
 class TestRunGrid:
     def test_single_cell(self):
         plan = small_plan(
-            kernels=(KernelSpec.original(),),
+            kernels=(KernelSpec(0.0),),
             objectives=(make_objective("sphere", 2),),
             repetitions=1,
         )
@@ -165,28 +187,24 @@ class TestRunGrid:
             assert a.final_best == b.final_best
             assert a.seed == b.seed
 
-    def test_pool_never_larger_than_grid(self, monkeypatch):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers, **options):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("gravopt.experiments.ProcessPoolExecutor", SerialPool)
+    def test_pool_never_larger_than_grid(self, serial_pool):
         plan = small_plan()  # 2 kernels x 2 objectives x 2 reps = 8 cells
         pooled = run_grid(plan, jobs=500)
-        assert started == [8]
+        assert serial_pool == [8]
         untimed = [replace(row, wall_seconds=0.0) for row in pooled]
         assert untimed == [replace(row, wall_seconds=0.0) for row in run_grid(plan, jobs=1)]
+
+    def test_jobs_zero_is_one_per_usable_core(self, serial_pool, monkeypatch):
+        plan = small_plan()  # 8 cells
+        for cores in (3, 20):
+            monkeypatch.setattr(experiments, "usable_cores", lambda: cores)
+            run_grid(plan, jobs=0)
+        assert serial_pool == [3, 8]
+
+    def test_negative_jobs_rejected(self):
+        with pytest.raises(ValueError, match=r"--jobs must be >= 0 \(0 = one per usable core\), "
+                                             "got -1"):
+            run_grid(small_plan(), jobs=-1)
 
     def test_pool_workers_split_forces_over_their_share_of_cores(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cores", lambda: 5)
@@ -203,7 +221,7 @@ class TestRunGrid:
 
         monkeypatch.setattr("gravopt.experiments.ProcessPoolExecutor", no_pool)
         plan = small_plan(
-            kernels=(KernelSpec.original(),),
+            kernels=(KernelSpec(0.0),),
             objectives=(make_objective("sphere", 2),),
             repetitions=1,
         )
@@ -309,7 +327,7 @@ class TestCsvFormats:
             dims=2,
             lower_bound=np.full(2, -1.0),
             upper_bound=np.full(2, 1.0),
-            kernel=KernelSpec.inverse_square(1e-9),
+            kernel=KernelSpec(2.0, 1e-9),
             max_iters=3,
             seed=21,
         )

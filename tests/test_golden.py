@@ -86,7 +86,7 @@ def test_partial_kbest_trace_digest(tmp_path):
         dims=4,
         lower_bound=np.full(4, objective.default_lower),
         upper_bound=np.full(4, objective.default_upper),
-        kernel=KernelSpec.inverse_linear(),
+        kernel=KernelSpec(1.0),
         max_iters=50,
         kbest_initial_fraction=0.3,
         seed=2024,
