@@ -3,14 +3,15 @@
 Settings resolve in three layers: built-in defaults, then the JSON file
 given with --config, then explicit flags. ``SETTINGS`` declares each
 setting once: its flag (which stores under the setting's key, so --pop
-sets "population"), default, help and the commands that read it. A run
-reads every GsaConfig field plus "function". A config file's "kernel"
-is a name such as "square" or "power:1.5", or an object {"kind",
-"exponent", "epsilon"}, the only place a file sets epsilon. A config key
-the command does not read is rejected, and so is a value whose JSON type
-does not fit its default's: a count or seed needs an integral number, a
-float setting a number (never a JSON boolean), "deterministic_weights"
-true or false, and the bounds and probe grid a list of numbers.
+sets "population"), default, help and the commands that read it. A
+config file's keys are exactly the settings keys, so "kernel" is a name
+such as "square" or "power:1.5" and "epsilon" a number beside it. A run
+reads every GsaConfig field plus "function". A config key the command
+does not read is rejected, and so is a value whose JSON type does not
+fit its default's: a count or seed needs an integral number, a float
+setting a number (never a JSON boolean), "kernel" and "function" a
+string, "deterministic_weights" true or false, and the bounds and probe
+grid a list of numbers.
 
 Exit codes: 0 success, 2 usage error, 3 numeric divergence or force
 overflow, 4 I/O failure.
@@ -84,9 +85,8 @@ SETTINGS = {
 
 def _config_keys(command: str) -> str:
     """The config-file keys ``command`` reads, sorted, for messages."""
-    keys = ("kernel.epsilon" if key == "epsilon" else key
-            for key, setting in SETTINGS.items() if command in setting.commands)
-    return ", ".join(sorted(keys))
+    return ", ".join(sorted(key for key, setting in SETTINGS.items()
+                            if command in setting.commands))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,21 +104,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="{run,probe,compare}")
     commands = (
-        ("run", "one optimization run, trace CSV to --trace or stdout",
-         [("--trace", {"help": "trace CSV output path (default: stdout)"})]),
-        ("probe", "fit the kernel's force-magnitude distance exponent",
-         [("--out", {"help": "probe CSV output path (default: stdout)"})]),
-        ("compare", f"kernel comparison grid: {{{', '.join(KERNEL_NAMES)}}} on all "
-                    "objectives; writes results and summary CSVs",
-         [("--out", {"help": "results CSV path; the summary CSV lands next to it with "
+        ("run", _cmd_run, "one optimization run, trace CSV to --trace or stdout",
+         [("--trace", {"default": None, "help": "trace CSV output path (default: stdout)"})]),
+        ("probe", _cmd_probe, "fit the kernel's force-magnitude distance exponent",
+         [("--out", {"default": None, "help": "probe CSV output path (default: stdout)"})]),
+        ("compare", _cmd_compare,
+         f"kernel comparison grid: {{{', '.join(KERNEL_NAMES)}}} on all "
+         "objectives; writes results and summary CSVs",
+         [("--out", {"default": "results.csv",
+                     "help": "results CSV path; the summary CSV lands next to it with "
                              "an '_summary' suffix (default: results.csv)"}),
           ("--no-timing", {"action": "store_true", "help": "write 0 in wall_seconds for "
                            "byte-reproducible output (default: off)"}),
-          ("--jobs", {"type": int, "help": "worker processes for the grid; 0 = one per "
-                      "usable core (default: 0)"})]),
+          ("--jobs", {"type": int, "default": 0, "help": "worker processes for the grid; "
+                      "0 = one per usable core (default: 0)"})]),
     )
-    for command, summary, outputs in commands:
+    for command, handler, summary, outputs in commands:
         p = sub.add_parser(command, help=summary)
+        p.set_defaults(handler=handler)
         for key, setting in SETTINGS.items():
             if setting.flag and command in setting.commands:
                 if isinstance(setting.default, bool):
@@ -128,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(setting.flag, dest=key, default=argparse.SUPPRESS,
                                help=f"{setting.help} (default: {shown})", **parse)
         for flag, options in outputs:
-            p.add_argument(flag, default=argparse.SUPPRESS, **options)
+            p.add_argument(flag, **options)
         p.add_argument("--config", default=argparse.SUPPRESS,
                        help=f"JSON config file with any of the keys {_config_keys(command)} "
                             "(default: none)")
@@ -146,6 +149,8 @@ def _check_type(key: str, value, default) -> None:
     if default is None:
         fits = isinstance(value, list) and all(map(number, value))
         expected = "a list of numbers"
+    elif isinstance(default, str):
+        fits, expected = isinstance(value, str), "a string"
     elif isinstance(default, bool):
         fits, expected = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
@@ -158,40 +163,16 @@ def _check_type(key: str, value, default) -> None:
 
 
 def _load_config_file(path: str, command: str) -> dict:
-    """The settings a JSON config file gives ``command``.
-
-    A kernel object sets "kernel" only when it has a "kind", so a file
-    for ``compare`` can set the softening alone: {"kernel": {"epsilon": 0}}.
-    """
+    """The settings a JSON config file gives ``command``."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    if "epsilon" in data:
-        raise ConfigError("config key 'epsilon' belongs in the kernel object")
-    kernel = data.pop("kernel", None)
-    if isinstance(kernel, dict):
-        unknown = set(kernel) - {"kind", "exponent", "epsilon"}
-        if unknown:
-            raise ConfigError("unknown kernel keys: " + ", ".join(sorted(unknown)))
-        if ("exponent" in kernel) != (kernel.get("kind") == "power"):
-            raise ConfigError("a kernel object has an 'exponent' exactly when its kind is 'power'")
-        if "kind" in kernel:
-            data["kernel"] = kernel["kind"]
-        if "exponent" in kernel:
-            _check_type("kernel.exponent", kernel["exponent"], 0.0)
-            data["kernel"] = f"power:{kernel['exponent']}"
-        if "epsilon" in kernel:
-            _check_type("kernel.epsilon", kernel["epsilon"], DEFAULT_EPSILON)
-            data["epsilon"] = kernel["epsilon"]
-    elif kernel is not None:
-        data["kernel"] = kernel
     for key, value in data.items():
         if key not in SETTINGS or command not in SETTINGS[key].commands:
             raise ConfigError(f"{command} does not read config key '{key}'; "
                               f"it reads: {_config_keys(command)}")
-        if not isinstance(SETTINGS[key].default, str):
-            _check_type(key, value, SETTINGS[key].default)
+        _check_type(key, value, SETTINGS[key].default)
     return data
 
 
@@ -223,8 +204,7 @@ def _build_config(settings: dict) -> tuple[GsaConfig, ObjectiveSpec]:
 def _cmd_run(args: argparse.Namespace) -> int:
     config, objective = _build_config(_merged_settings(args))
     trace = run(config, objective.function)
-    target = getattr(args, "trace", None)
-    write_trace_csv(trace, config, target if target is not None else sys.stdout)
+    write_trace_csv(trace, config, sys.stdout if args.trace is None else args.trace)
     return EXIT_OK
 
 
@@ -234,8 +214,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     grid = settings["probe_r_values"]
     r_values = DEFAULT_PROBE_DISTANCES if grid is None else grid
     report = probe_exponent(kernel, settings["g0"], 1.0, 1.0, r_values)
-    target = getattr(args, "out", None)
-    write_probe_csv(report, target if target is not None else sys.stdout)
+    write_probe_csv(report, sys.stdout if args.out is None else args.out)
     return EXIT_OK
 
 
@@ -256,12 +235,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         objectives=objectives,
         repetitions=settings["repetitions"],
     )
-    rows = run_grid(plan, jobs=getattr(args, "jobs", 0))
+    rows = run_grid(plan, jobs=args.jobs)
     summary = summarize(rows)
 
-    out_path = getattr(args, "out", "results.csv")
-    summary_path = _summary_path(out_path)
-    write_results_csv(rows, out_path, include_timing=not getattr(args, "no_timing", False))
+    summary_path = _summary_path(args.out)
+    write_results_csv(rows, args.out, include_timing=not args.no_timing)
     write_summary_csv(summary, summary_path)
 
     kernel_names = [kernel.name for kernel in kernels]
@@ -286,21 +264,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"  {wc.objective}: {wc.kernel_a} vs {wc.kernel_b} -> "
             f"{wc.wins_a}/{wc.wins_b} ({wc.ties} ties)"
         )
-    print(f"wrote {out_path} and {summary_path}")
+    print(f"wrote {args.out} and {summary_path}")
     return EXIT_OK
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "probe": _cmd_probe,
-    "compare": _cmd_compare,
-}
 
 
 def execute(args: argparse.Namespace) -> int:
     """Dispatch a parsed invocation, mapping failures to exit codes."""
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"gravopt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

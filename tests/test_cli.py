@@ -42,14 +42,36 @@ def read(path):
     return path.read_text(encoding="utf-8")
 
 
-def small_argv(command, tmp_path):
-    """Flags that keep ``command`` quick and its output in tmp_path."""
-    out = str(tmp_path / "out.csv")
-    size = ["--pop", "4", "--dims", "2", "--iters", "2"]
+# The tiny sizes small_argv passes, by settings key.
+SMALL_SIZES = {"population": 4, "dims": 2, "max_iters": 2, "repetitions": 1}
+
+# A value other than the default for each setting that has a flag.
+OTHER_VALUES = {
+    "kernel": "power:1.5",
+    "epsilon": 1e-3,
+    "g0": 50.0,
+    "alpha": 10.0,
+    "population": 5,
+    "dims": 3,
+    "max_iters": 3,
+    "seed": 7,
+    "function": "rastrigin",
+    "repetitions": 2,
+    "deterministic_weights": True,
+}
+
+
+def small_argv(command, tmp_path, out="out.csv", omit=None):
+    """Flags that keep ``command`` quick and its output in tmp_path,
+    leaving the size setting ``omit`` at its default or config value."""
+    out = str(tmp_path / out)
+    size = [arg for key, value in SMALL_SIZES.items()
+            if key != omit and command in cli.SETTINGS[key].commands
+            for arg in (cli.SETTINGS[key].flag, str(value))]
     return {
         "run": [*size, "--trace", out],
         "probe": ["--out", out],
-        "compare": [*size, "--reps", "1", "--jobs", "1", "--out", out],
+        "compare": [*size, "--no-timing", "--jobs", "1", "--out", out],
     }[command]
 
 
@@ -159,11 +181,9 @@ class TestConfigFile:
         assert "max_iters=3" in text       # config wins over default
         assert "alpha=20.0" in text        # default survives
 
-    def test_kernel_object_in_config(self, tmp_path):
+    def test_kernel_and_epsilon_in_config(self, tmp_path):
         config = tmp_path / "c.json"
-        config.write_text(
-            json.dumps({"kernel": {"kind": "power", "exponent": 1.5, "epsilon": 0.0}})
-        )
+        config.write_text(json.dumps({"kernel": "power:1.5", "epsilon": 0.0}))
         out = tmp_path / "p.csv"
         assert cli.main(["probe", "--config", str(config), "--out", str(out)]) == 0
         assert probe_footer(out)["slope"] == pytest.approx(-1.5, abs=1e-9)
@@ -210,7 +230,11 @@ class TestConfigFile:
            for value in (True, False, "4", None)]
         + [("lower_bound", [False, False]), ("upper_bound", [True, True]),
            ("probe_r_values", [True, 2.0, 3.0]), ("lower_bound", ["-1", "-1"]),
-           ("upper_bound", 1.0), ("probe_r_values", None)],
+           ("upper_bound", 1.0), ("probe_r_values", None)]
+        + [("kernel", value) for value in (None, {}, 2)] + [("function", 3)]
+        + [("epsilon", value) for value in (True, False, "1e-12", None)]
+        # the kernel object older config files used
+        + [("kernel", {"kind": "power", "exponent": 1.5, "epsilon": 0.0})],
     )
     def test_mistyped_value_rejected(self, key, value, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -218,29 +242,6 @@ class TestConfigFile:
         command = cli.SETTINGS[key].commands[0]
         assert cli.main([command, "--config", str(config), *small_argv(command, tmp_path)]) == 2
         assert f"config key '{key}' must be" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", [True, False, "1e-12", None])
-    def test_mistyped_kernel_epsilon_rejected(self, value, tmp_path, capsys):
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"kernel": {"kind": "square", "epsilon": value}}))
-        assert cli.main(["probe", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
-        assert "config key 'kernel.epsilon' must be a number" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["1.5", True, None])
-    def test_mistyped_kernel_exponent_rejected(self, value, tmp_path, capsys):
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"kernel": {"kind": "power", "exponent": value}}))
-        assert cli.main(["probe", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
-        assert "config key 'kernel.exponent' must be a number" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "kernel", [{"kind": "power"}, {"exponent": 2.0}, {"kind": "square", "exponent": 1.0}]
-    )
-    def test_exponent_only_with_power_kind(self, kernel, tmp_path, capsys):
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"kernel": kernel}))
-        assert cli.main(["probe", "--config", str(config), *small_argv("probe", tmp_path)]) == 2
-        assert "'exponent' exactly when its kind is 'power'" in capsys.readouterr().err
 
     def test_every_run_setting_is_a_config_key(self):
         # a new GsaConfig field must be declared in SETTINGS, read by
@@ -262,18 +263,40 @@ class TestConfigFile:
         assert f"{command} does not read config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    def test_compare_takes_epsilon_in_a_kernel_object(self, tmp_path, capsys):
+    def test_compare_takes_epsilon(self, tmp_path, capsys):
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({"kernel": {"epsilon": 0}}))
+        config.write_text(json.dumps({"epsilon": 0}))
         argv = ["compare", "--config", str(config), *small_argv("compare", tmp_path)]
         assert cli.main(argv) == 0
         assert "epsilon=0.0 " in capsys.readouterr().out
 
-    def test_top_level_epsilon_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for key, setting in cli.SETTINGS.items() if setting.flag
+         for command in setting.commands],
+    )
+    def test_config_key_matches_flag(self, command, key, tmp_path):
+        value = OTHER_VALUES[key]
+        flag = [cli.SETTINGS[key].flag]
+        if not isinstance(value, bool):
+            flag.append(str(value))
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({"epsilon": 0.0}))
-        assert cli.main(["probe", "--config", str(config), *small_argv("probe", tmp_path)]) == 2
-        assert "belongs in the kernel object" in capsys.readouterr().err
+        config.write_text(json.dumps({key: value}))
+        # "a" from the default, "b" from the flag, "c" from the config file
+        assert cli.main([command, *small_argv(command, tmp_path, "a.csv", key)]) == 0
+        assert cli.main([command, *flag, *small_argv(command, tmp_path, "b.csv", key)]) == 0
+        assert cli.main([command, "--config", str(config),
+                         *small_argv(command, tmp_path, "c.csv", key)]) == 0
+        suffixes = ["", "_summary"] if command == "compare" else [""]
+        outputs = {name: [read(tmp_path / f"{name}{suffix}.csv") for suffix in suffixes]
+                   for name in "abc"}
+        assert outputs["b"] == outputs["c"] != outputs["a"]
+
+    def test_readme_config_example_names_every_setting(self):
+        readme = read(Path(__file__).parents[1] / "README.md")
+        section = readme.split("### JSON config", 1)[1]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        assert set(re.findall(r'"(\w+)":', example)) == set(cli.SETTINGS)
 
     def test_boolean_g0_and_alpha_rejected(self, tmp_path, capsys):
         config = tmp_path / "c.json"
