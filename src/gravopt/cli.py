@@ -13,8 +13,8 @@ setting a number (never a JSON boolean), "kernel" and "function" a
 string, "deterministic_weights" true or false, and the bounds and probe
 grid a list of numbers.
 
-Exit codes: 0 success, 2 usage error, 3 numeric divergence or force
-overflow, 4 I/O failure.
+Exit codes: 0 success, 2 usage error (a config too large for memory
+included), 3 numeric divergence or force overflow, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -235,10 +235,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         objectives=objectives,
         repetitions=settings["repetitions"],
     )
+    summary_path = _summary_path(args.out)
+    if not summary_path.parent.is_dir():
+        # before the grid, which can run for minutes
+        raise FileNotFoundError(f"no such directory: '{summary_path.parent}'")
     rows = run_grid(plan, jobs=args.jobs)
     summary = summarize(rows)
 
-    summary_path = _summary_path(args.out)
     write_results_csv(rows, args.out, include_timing=not args.no_timing)
     write_summary_csv(summary, summary_path)
 
@@ -274,6 +277,9 @@ def execute(args: argparse.Namespace) -> int:
         return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"gravopt: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"gravopt: error: config too large for memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ForceOverflowError, DivergenceError, EvaluationError) as exc:
         print(f"gravopt: numeric failure: {exc}", file=sys.stderr)

@@ -76,21 +76,16 @@ def make_rng(seed: int) -> Generator:
 
 @dataclass
 class SwarmState:
-    """Mutable-by-replacement snapshot of one run in progress.
-
-    Arrays are stored population-major: positions and velocities are
-    (population, dims), fitnesses and masses are (population,). ``rng``
-    is the single generator owned by the run; stepping consumes it.
+    """All that one iteration hands the next: positions and velocities
+    (population, dims), fitnesses (population,), the steps taken so far
+    and the run's single generator, which stepping consumes. ``step``
+    derives the masses, G and Kbest; ``run`` tracks the best so far.
     """
 
     positions: np.ndarray
     velocities: np.ndarray
     fitnesses: np.ndarray
-    masses: np.ndarray
     iteration: int
-    g_current: float
-    best_so_far_fitness: float
-    best_so_far_position: np.ndarray
     rng: Generator
 
 
@@ -117,12 +112,6 @@ def compute_masses(fitnesses: Sequence[float]) -> np.ndarray:
 
 def g_schedule(g0: float, alpha: float, t: int, max_iters: int) -> float:
     """Exponentially decaying gravitational constant g0 * exp(-alpha*t/T)."""
-    if g0 <= 0.0:
-        raise ValueError("g0 must be > 0")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    if not 0 <= t <= max_iters:
-        raise ValueError(f"t must lie in [0, {max_iters}], got {t}")
     return g0 * math.exp(-alpha * t / max_iters)
 
 
@@ -132,8 +121,6 @@ def kbest_size(t: int, max_iters: int, population: int, initial_fraction: float)
     Decreases linearly from ceil(initial_fraction * population) at t = 0
     to 1 at t = max_iters - 1, rounding half up; always within [1, n].
     """
-    if not 0.0 < initial_fraction <= 1.0:
-        raise ValueError("initial_fraction must lie in (0, 1]")
     # The 1e-9 nudge keeps ceil() honest when fraction * n lands a few
     # ulps above an exact integer (e.g. 0.2 * 50).
     k0 = math.ceil(initial_fraction * population - 1e-9)
@@ -178,32 +165,24 @@ def initialize(config: GsaConfig, objective: Objective) -> SwarmState:
     n, d = config.population, config.dims
     width = config.upper_bound - config.lower_bound
     positions = config.lower_bound + rng.random((n, d)) * width
-    velocities = np.zeros((n, d))
-    fitnesses = _evaluate_population(objective, positions, 0)
-    masses = compute_masses(fitnesses)
-    best = int(np.argmin(fitnesses))
-    return SwarmState(
-        positions=positions,
-        velocities=velocities,
-        fitnesses=fitnesses,
-        masses=masses,
-        iteration=0,
-        g_current=g_schedule(config.g0, config.alpha, 0, config.max_iters),
-        best_so_far_fitness=float(fitnesses[best]),
-        best_so_far_position=positions[best].copy(),
-        rng=rng,
-    )
+    return SwarmState(positions=positions, velocities=np.zeros((n, d)),
+                      fitnesses=_evaluate_population(objective, positions, 0),
+                      iteration=0, rng=rng)
 
 
 def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmState:
-    """Advance the swarm by one iteration; consumes the input state's rng."""
+    """Advance the swarm by one iteration; consumes the input state's rng.
+
+    The masses come from ``state.fitnesses``, and G and the Kbest size
+    from ``state.iteration``; the returned state holds the moved swarm.
+    """
     if state.iteration >= config.max_iters:
         raise ValueError("run already reached max_iters")
     n, d = state.positions.shape
     iteration = state.iteration + 1
-    k = kbest_size(
-        state.iteration, config.max_iters, n, config.kbest_initial_fraction
-    )
+    masses = compute_masses(state.fitnesses)
+    g = g_schedule(config.g0, config.alpha, state.iteration, config.max_iters)
+    k = kbest_size(state.iteration, config.max_iters, n, config.kbest_initial_fraction)
     members = np.sort(kbest_indices(state.fitnesses, k))
 
     weights = np.ones(n * k)
@@ -215,12 +194,11 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
     weights = weights.reshape(n, k)
 
     try:
-        accel = forces(state.positions, state.masses, state.g_current, config.kernel,
-                       members, weights)
+        accel = forces(state.positions, masses, g, config.kernel, members, weights)
     except ForceOverflowError:
         raise ForceOverflowError(f"force overflow at iteration {iteration}; "
                                  "increase epsilon") from None
-    accel /= (state.masses + MASS_SOFTENING)[:, None]
+    accel /= (masses + MASS_SOFTENING)[:, None]
 
     if config.deterministic_weights:
         velocities = state.velocities + accel
@@ -238,31 +216,16 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
     positions = np.minimum(np.maximum(raw, config.lower_bound), config.upper_bound)
     velocities[positions != raw] = 0.0
 
-    fitnesses = _evaluate_population(objective, positions, iteration)
-    masses = compute_masses(fitnesses)
-    best = int(fitnesses.argmin())
-    if fitnesses[best] < state.best_so_far_fitness:
-        best_fitness = float(fitnesses[best])
-        best_position = positions[best].copy()
-    else:
-        best_fitness = state.best_so_far_fitness
-        best_position = state.best_so_far_position
-    return SwarmState(
-        positions=positions,
-        velocities=velocities,
-        fitnesses=fitnesses,
-        masses=masses,
-        iteration=iteration,
-        g_current=g_schedule(config.g0, config.alpha, iteration, config.max_iters),
-        best_so_far_fitness=best_fitness,
-        best_so_far_position=best_position,
-        rng=state.rng,
-    )
+    return SwarmState(positions=positions, velocities=velocities,
+                      fitnesses=_evaluate_population(objective, positions, iteration),
+                      iteration=iteration, rng=state.rng)
 
 
 def run(config: GsaConfig, objective: Objective) -> RunTrace:
     """Initialize then step exactly max_iters times.
 
+    Only ``run`` tracks the best so far: the initial population's best
+    agent, replaced by a step's best agent when that is strictly lower.
     Bit-identical traces for identical (config, objective). Raises
     EvaluationError when the population's mean fitness overflows.
     Overflow warnings are silenced: every overflow that leaves a
@@ -274,18 +237,23 @@ def run(config: GsaConfig, objective: Objective) -> RunTrace:
     population_mean = np.empty(config.max_iters)
     with np.errstate(over="ignore"):
         state = initialize(config, objective)
+        best = int(state.fitnesses.argmin())
+        best_fitness = state.fitnesses[best]
+        best_position = state.positions[best].copy()
         for t in range(config.max_iters):
             state = step(state, config, objective)
-            best_so_far[t] = state.best_so_far_fitness
-            population_best[t] = state.fitnesses.min()
+            best = int(state.fitnesses.argmin())
+            population_best[t] = state.fitnesses[best]
+            if population_best[t] < best_fitness:
+                best_fitness = population_best[t]
+                # A copy: a view would keep this step's whole positions
+                # array alive, which raises the large-swarm peak memory.
+                best_position = state.positions[best].copy()
+            best_so_far[t] = best_fitness
             population_mean[t] = state.fitnesses.mean()
             if not math.isfinite(population_mean[t]):
                 raise EvaluationError(
                     f"population mean fitness overflowed at iteration {state.iteration}"
                 )
-    return RunTrace(
-        best_so_far=best_so_far,
-        population_best=population_best,
-        population_mean=population_mean,
-        final_best_position=state.best_so_far_position,
-    )
+    return RunTrace(best_so_far=best_so_far, population_best=population_best,
+                    population_mean=population_mean, final_best_position=best_position)

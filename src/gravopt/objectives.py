@@ -2,7 +2,8 @@
 
 All four are minimized; the global optimum value is 0 (sphere, rastrigin
 and ackley at the origin, rosenbrock at the all-ones point). Each carries
-its customary symmetric box bounds.
+its customary symmetric box bounds and the fewest dims it is defined for:
+rosenbrock sums over consecutive coordinate pairs, so it needs two.
 
 Each function maps (..., d) -> (...) by reducing over the last axis, so
 one call evaluates a whole (n, d) population; on a single (d,) point it
@@ -42,12 +43,12 @@ def ackley(x: np.ndarray) -> np.ndarray:
     return -20.0 * np.exp(-0.2 * np.sqrt(s1 / n)) - np.exp(s2 / n) + 20.0 + np.e
 
 
-# name -> (function, symmetric half-width of the default box)
-_REGISTRY: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] = {
-    "sphere": (sphere, 100.0),
-    "rastrigin": (rastrigin, 5.12),
-    "rosenbrock": (rosenbrock, 30.0),
-    "ackley": (ackley, 32.0),
+# name -> (function, symmetric half-width of the default box, fewest dims)
+_REGISTRY: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float, int]] = {
+    "sphere": (sphere, 100.0, 1),
+    "rastrigin": (rastrigin, 5.12, 1),
+    "rosenbrock": (rosenbrock, 30.0, 2),
+    "ackley": (ackley, 32.0, 1),
 }
 
 
@@ -70,8 +71,9 @@ class ObjectiveSpec:
                 f"unknown objective '{self.name}'; valid names: "
                 + ", ".join(objective_names())
             )
-        if self.dims < 1:
-            raise ValueError("dims >= 1 required")
+        fewest = _REGISTRY[self.name][2]
+        if self.dims < fewest:
+            raise ValueError(f"objective '{self.name}' needs dims >= {fewest}, got {self.dims}")
 
     @property
     def function(self) -> Callable[[np.ndarray], np.ndarray]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gravopt
-from gravopt import GsaConfig, cli
+from gravopt import GsaConfig, cli, experiments
 
 # Each command's flags, in --help order.
 COMMAND_FLAGS = {
@@ -144,6 +144,17 @@ class TestParsing:
     def test_invalid_size_rejected(self, command, argv, message, capsys):
         assert cli.main([command, *argv]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--function", "rosenbrock", "--iters", "2", "--pop", "4", "--trace"],
+        ["compare", "--reps", "1", "--iters", "2", "--pop", "4", "--jobs", "1", "--out"],
+    ], ids=["run", "compare"])
+    def test_one_dim_rosenbrock_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, str(out), "--dims", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "gravopt: error: objective 'rosenbrock' needs dims >= 2, got 1\n")
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
@@ -411,6 +422,18 @@ class TestRunCommand:
     def test_usage_error_on_bad_function(self):
         assert cli.main(["run", "--function", "griewank"]) == 2
 
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a stand-in for numpy's error: a real oversized allocation may
+        # succeed under memory overcommit and be killed later
+        def too_large(config, objective):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(cli, "run", too_large)
+        assert cli.main(["run", *small_argv("run", tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "gravopt: error: config too large for memory: Unable to allocate 29.1 TiB "
+            "for an array\n")
+
 
 class TestCompareCommand:
     def test_small_grid_outputs(self, tmp_path, capsys):
@@ -453,17 +476,32 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_cell_failure_is_numeric_failure(self, jobs, tmp_path, capfd):
-        # G0 = 1e308 with epsilon 0 overflows the square kernel's forces;
-        # capfd, since pool workers write to the file descriptor
+        # G0 = 1e308 with epsilon 0 overflows the linear kernel's forces in
+        # the first rastrigin cell; capfd, since pool workers write to the
+        # file descriptor
         argv = ["compare", "--g0", "1e308", "--alpha", "0", "--epsilon", "0", "--pop", "4",
-                "--dims", "1", "--iters", "100", "--reps", "1", "--seed", "1",
+                "--dims", "2", "--iters", "100", "--reps", "1", "--seed", "3",
                 "--jobs", jobs, "--out", str(tmp_path / "r.csv")]
         assert cli.main(argv) == 3
         assert capfd.readouterr().err == (
-            "gravopt: numeric failure: run failed for kernel=square objective=rosenbrock "
-            "repetition=0 seed=17872783221726935257: force overflow at iteration 1; "
+            "gravopt: numeric failure: run failed for kernel=linear objective=rastrigin "
+            "repetition=0 seed=18082517878164821224: force overflow at iteration 1; "
             "increase epsilon\n"
         )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cell_out_of_memory_is_usage_error(self, jobs, tmp_path, capfd, monkeypatch):
+        # the pool forks after the patch, so its workers raise too
+        def too_large(config, objective):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(experiments, "run", too_large)
+        out = tmp_path / "r.csv"
+        assert cli.main(["compare", *small_argv("compare", tmp_path, "r.csv"), "--jobs", jobs]) == 2
+        assert capfd.readouterr().err == (
+            "gravopt: error: config too large for memory: Unable to allocate 29.1 TiB "
+            "for an array\n")
+        assert not out.exists()
 
     def test_negative_jobs_rejected(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -472,9 +510,16 @@ class TestCompareCommand:
         assert "--jobs must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_compare_io_failure(self, tmp_path):
+    def test_compare_io_failure(self, tmp_path, capsys, monkeypatch):
+        # a missing output directory fails before the grid runs
+        def no_grid(plan, jobs):
+            raise AssertionError("run_grid called")
+
+        monkeypatch.setattr(cli, "run_grid", no_grid)
         code = cli.main(
             ["compare", "--reps", "1", "--iters", "2", "--pop", "4", "--dims", "2",
              "--out", str(tmp_path / "missing" / "r.csv"), "--jobs", "1"]
         )
         assert code == 4
+        assert capsys.readouterr().err == (
+            f"gravopt: i/o failure: no such directory: '{tmp_path / 'missing'}'\n")

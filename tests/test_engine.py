@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -134,8 +134,7 @@ class TestInitialize:
         b = initialize(config, sphere)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.fitnesses, b.fitnesses)
-        assert np.array_equal(a.masses, b.masses)
-        assert a.best_so_far_fitness == b.best_so_far_fitness
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
     def test_population_and_bounds(self):
         config = make_config(population=50, dims=30)
@@ -145,7 +144,11 @@ class TestInitialize:
         assert np.all(state.positions <= config.upper_bound)
         assert np.array_equal(state.velocities, np.zeros((50, 30)))
         assert state.iteration == 0
-        assert state.g_current == config.g0
+
+    def test_state_holds_only_the_swarm(self):
+        # masses, G, Kbest and the best so far are derived, not carried
+        names = [field.name for field in fields(engine.SwarmState)]
+        assert names == ["positions", "velocities", "fitnesses", "iteration", "rng"]
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=30, deadline=None)
@@ -197,12 +200,10 @@ class TestInitialize:
             initialize(make_config(), shifts_in_place)
 
 
-def full_kbest_forces(state, kernel):
+def full_kbest_forces(positions, masses, g, kernel):
     """Forces on every agent from the whole swarm with unit weights."""
-    n = len(state.positions)
-    return forces(
-        state.positions, state.masses, state.g_current, kernel, np.arange(n), np.ones((n, n))
-    )
+    n = len(positions)
+    return forces(positions, masses, g, kernel, np.arange(n), np.ones((n, n)))
 
 
 class TestTotalForce:
@@ -210,17 +211,18 @@ class TestTotalForce:
         # min-max masses of two agents are (1, 0); nonzero masses keep the
         # pair force from vanishing
         config = make_config(population=2, deterministic_weights=True)
-        state = replace(initialize(config, sphere), masses=np.array([0.4, 0.6]))
-        delta = state.positions[1] - state.positions[0]
+        positions = initialize(config, sphere).positions
+        delta = positions[1] - positions[0]
         r = math.sqrt(float(np.dot(delta, delta)))
-        coeff = state.g_current * (state.masses[0] * state.masses[1]) / (r + config.kernel.epsilon)
-        f = full_kbest_forces(state, config.kernel)
+        coeff = config.g0 * (0.4 * 0.6) / (r + config.kernel.epsilon)
+        f = full_kbest_forces(positions, np.array([0.4, 0.6]), config.g0, config.kernel)
         np.testing.assert_allclose(f, [coeff * delta, -coeff * delta], rtol=1e-15, atol=0.0)
 
     def test_global_force_balance(self):
         config = make_config(population=12, dims=3, deterministic_weights=True)
         state = initialize(config, sphere)
-        total = full_kbest_forces(state, config.kernel).sum(axis=0)
+        masses = compute_masses(state.fitnesses)
+        total = full_kbest_forces(state.positions, masses, config.g0, config.kernel).sum(axis=0)
         np.testing.assert_allclose(total, np.zeros(3), atol=1e-9)
 
     def test_matches_naive_double_loop(self):
@@ -238,7 +240,9 @@ class TestTotalForce:
                     ),
                     sphere,
                 )
-                for i, got in enumerate(full_kbest_forces(state, kernel)):
+                masses = compute_masses(state.fitnesses)
+                got_forces = full_kbest_forces(state.positions, masses, 100.0, kernel)
+                for i, got in enumerate(got_forces):
                     expected = np.zeros(3)
                     for j in range(10):
                         if j == i:
@@ -248,8 +252,8 @@ class TestTotalForce:
                         if r == 0.0:
                             continue
                         expected += (
-                            state.g_current
-                            * (state.masses[i] * state.masses[j])
+                            100.0
+                            * (masses[i] * masses[j])
                             / (r ** (kernel.exponent + 1.0) + kernel.epsilon)
                             * delta
                         )
@@ -267,36 +271,31 @@ def oracle_initialize(config, objective):
     upper = np.asarray(config.upper_bound)
     positions = lower + rng.random((n, d)) * (upper - lower)
     fits = np.array([objective(x) for x in positions])
-    best, worst = fits.min(), fits.max()
-    if best == worst:
-        masses = np.full(n, 1.0 / n)
-    else:
-        raw = (worst - fits) / (worst - best)
-        masses = raw / raw.sum()
     return engine.SwarmState(
-        positions=positions,
-        velocities=np.zeros((n, d)),
-        fitnesses=fits,
-        masses=masses,
-        iteration=0,
-        g_current=config.g0 * math.exp(-config.alpha * 0 / config.max_iters),
-        best_so_far_fitness=float(best),
-        best_so_far_position=positions[int(np.argmin(fits))].copy(),
-        rng=rng,
+        positions=positions, velocities=np.zeros((n, d)), fitnesses=fits, iteration=0, rng=rng
     )
 
 
 def oracle_step(state, config):
     """Independent re-derivation of one step from ``state`` by the stated rules.
 
-    Draws one uniform at a time from a copy of the state's generator, in
-    the documented order, and leaves ``state`` untouched. Returns the
-    clipped positions, the velocities and the copied generator.
+    Derives the min-max masses from the state's fitnesses and
+    G = g0 * exp(-alpha * t / T) at the state's iteration t, draws one
+    uniform at a time from a copy of the state's generator, in the
+    documented order, and leaves ``state`` untouched. Returns the clipped
+    positions, the velocities and the copied generator.
     """
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = state.rng.bit_generator.state
     n, d = state.positions.shape
-    positions, masses, g = state.positions, state.masses, state.g_current
+    positions, fits = state.positions, state.fitnesses
+    best, worst = fits.min(), fits.max()
+    if best == worst:
+        masses = np.full(n, 1.0 / n)
+    else:
+        raw = (worst - fits) / (worst - best)
+        masses = raw / raw.sum()
+    g = config.g0 * math.exp(-config.alpha * state.iteration / config.max_iters)
     lower = np.asarray(config.lower_bound)
     upper = np.asarray(config.upper_bound)
 
@@ -361,14 +360,18 @@ class TestStep:
         fraction=st.floats(0.01, 1.0),
         deterministic=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        g0=st.floats(1e-2, 1e2),
+        alpha=st.sampled_from([0.0, 20.0]) | st.floats(0.0, 50.0),
     )
     def test_matches_scalar_oracle_from_any_state(
-        self, n, d, q, epsilon, fraction, deterministic, seed
+        self, n, d, q, epsilon, fraction, deterministic, seed, g0, alpha
     ):
         config = make_config(
             population=n,
             dims=d,
             kernel=KernelSpec(q, epsilon),
+            g0=g0,
+            alpha=alpha,
             kbest_initial_fraction=fraction,
             deterministic_weights=deterministic,
             seed=seed,
@@ -384,17 +387,11 @@ class TestStep:
         side = np.where(rng.random((n, d)) < 0.5, lower, upper)
         positions[edge] = side[edge]
         velocities[edge] = np.sign(side[edge]) * rng.uniform(0.5, 2.0, np.count_nonzero(edge))
-        fitnesses = sphere(positions)
-        best = int(np.argmin(fitnesses))
         state = engine.SwarmState(
             positions=positions,
             velocities=velocities,
-            fitnesses=fitnesses,
-            masses=compute_masses(fitnesses),
+            fitnesses=sphere(positions),
             iteration=int(rng.integers(0, config.max_iters)),
-            g_current=float(10.0 ** rng.uniform(-2.0, 2.0)),
-            best_so_far_fitness=float(fitnesses[best]),
-            best_so_far_position=positions[best].copy(),
             rng=engine.make_rng(seed),
         )
         expected_pos, expected_vel, expected_rng = oracle_step(state, config)
@@ -449,20 +446,10 @@ class TestStep:
         positions = np.array(
             [[0.0, 1.0], [math.sqrt(3.0) / 2.0, -0.5], [-math.sqrt(3.0) / 2.0, -0.5]]
         )
-        state = engine.SwarmState(
-            positions=positions,
-            velocities=np.zeros((3, 2)),
-            fitnesses=np.zeros(3),
-            masses=compute_masses([1.0, 1.0, 1.0]),
-            iteration=0,
-            g_current=1.0,
-            best_so_far_fitness=0.0,
-            best_so_far_position=positions[0].copy(),
-            rng=engine.make_rng(0),
-        )
+        masses = compute_masses([1.0, 1.0, 1.0])
         centroid = positions.mean(axis=0)
         accel_sum = np.zeros(2)
-        for i, force in enumerate(full_kbest_forces(state, config.kernel)):
+        for i, force in enumerate(full_kbest_forces(positions, masses, 1.0, config.kernel)):
             to_centroid = centroid - positions[i]
             norm_f = np.linalg.norm(force)
             norm_c = np.linalg.norm(to_centroid)
@@ -470,7 +457,7 @@ class TestStep:
             assert float(np.dot(force, to_centroid)) == pytest.approx(
                 norm_f * norm_c, rel=1e-9
             )
-            accel_sum += force / (state.masses[i] + engine.MASS_SOFTENING)
+            accel_sum += force / (masses[i] + engine.MASS_SOFTENING)
         np.testing.assert_allclose(accel_sum, np.zeros(2), atol=1e-9)
 
     def test_negligible_g_freezes_positions(self):
@@ -519,12 +506,25 @@ class TestStep:
         with pytest.raises(DivergenceError, match="at iteration 2;"):
             step(replace(state, velocities=velocities), config, sphere)
 
-    def test_mass_normalization_every_step(self):
+    def test_mass_normalization_every_step(self, monkeypatch):
+        # step hands forces the masses of the fitnesses it was given and
+        # G at the iteration it starts from
         config = make_config(population=8, dims=4, max_iters=20)
+        seen = []
+
+        def recording(positions, masses, g, kernel, kbest, weights):
+            seen.append((masses.copy(), g))
+            return forces(positions, masses, g, kernel, kbest, weights)
+
+        monkeypatch.setattr(engine, "forces", recording)
         state = initialize(config, sphere)
-        for _ in range(20):
+        for t in range(20):
+            fitnesses = state.fitnesses
             state = step(state, config, sphere)
-            assert state.masses.sum() == pytest.approx(1.0, abs=1e-12)
+            masses, g = seen[t]
+            assert np.array_equal(masses, compute_masses(fitnesses))
+            assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+            assert g == config.g0 * math.exp(-config.alpha * t / config.max_iters)
 
 
 class TestRun:
@@ -559,9 +559,9 @@ class TestRun:
 
     def test_sphere_improves(self):
         config = make_config(population=20, dims=5, max_iters=200, seed=3)
-        state = initialize(config, sphere)
+        initial_best = initialize(config, sphere).fitnesses.min()
         trace = run(config, sphere)
-        assert trace.final_best < state.best_so_far_fitness
+        assert trace.final_best < initial_best
 
     def test_zero_forces_freeze_swarm(self, monkeypatch):
         # kernel interchangeability: forcing zero forces must freeze the
@@ -583,3 +583,22 @@ class TestRun:
         assert sphere(trace.final_best_position) == pytest.approx(
             trace.final_best, rel=1e-12
         )
+
+    def test_best_so_far_is_running_minimum(self):
+        config = make_config(population=10, dims=4, max_iters=60, seed=8)
+        trace = run(config, sphere)
+        initial_best = initialize(config, sphere).fitnesses.min()
+        running = np.minimum.accumulate(np.concatenate([[initial_best], trace.population_best]))
+        assert np.array_equal(trace.best_so_far, running[1:])
+        assert sphere(trace.final_best_position) == trace.final_best
+
+    def test_unbeaten_initial_best_is_kept(self, monkeypatch):
+        # with zero forces the swarm never moves, so no step beats the start
+        monkeypatch.setattr(engine, "forces", lambda positions, *_: np.zeros_like(positions))
+        config = make_config(population=6, dims=3, max_iters=5)
+        start = initialize(config, sphere)
+        best = int(start.fitnesses.argmin())
+        trace = run(config, sphere)
+        assert np.array_equal(trace.best_so_far, np.full(5, start.fitnesses[best]))
+        assert np.array_equal(trace.population_best, trace.best_so_far)
+        assert np.array_equal(trace.final_best_position, start.positions[best])

@@ -5,6 +5,7 @@ from gravopt import make_objective, objective_names
 from gravopt.objectives import ObjectiveSpec, ackley, rastrigin, rosenbrock, sphere
 
 BOUNDS = {"sphere": 100.0, "rastrigin": 5.12, "rosenbrock": 30.0, "ackley": 32.0}
+FUNCTIONS = {"sphere": sphere, "rastrigin": rastrigin, "rosenbrock": rosenbrock, "ackley": ackley}
 
 
 class TestKnownValues:
@@ -68,8 +69,9 @@ class TestBatched:
     @pytest.mark.parametrize("dims", [1, 2, 8, 30, 129])
     @pytest.mark.parametrize("name", sorted(BOUNDS))
     def test_population_matches_rows(self, name, dims):
-        # 129 crosses numpy's 128-element pairwise-summation block
-        fn = make_objective(name, dims).function
+        # 129 crosses numpy's 128-element pairwise-summation block; the
+        # functions themselves, since no objective spec holds rosenbrock at 1 dim
+        fn = FUNCTIONS[name]
         rng = np.random.Generator(np.random.PCG64(dims))
         x = rng.uniform(-BOUNDS[name], BOUNDS[name], (7, dims))
         batched = fn(x)
@@ -100,6 +102,12 @@ class TestSpecAndEvaluate:
             ObjectiveSpec(name="nope", dims=2, default_lower=-1.0, default_upper=1.0)
         with pytest.raises(ValueError):
             ObjectiveSpec(name="sphere", dims=0, default_lower=-1.0, default_upper=1.0)
+
+    def test_rosenbrock_needs_two_dims(self):
+        # one coordinate has no consecutive pair, so the sum is identically 0
+        with pytest.raises(ValueError, match=r"'rosenbrock' needs dims >= 2, got 1"):
+            make_objective("rosenbrock", 1)
+        assert make_objective("rosenbrock", 2).dims == 2
 
     @pytest.mark.parametrize("name", sorted(BOUNDS))
     def test_single_point_returns_float64_scalar(self, name):
