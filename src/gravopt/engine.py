@@ -16,12 +16,12 @@ for any number of cores ``kernels.forces`` spreads its rows over:
    b. velocity coefficients: population * dims uniforms, row-major.
 
 Step 2a is one ``rng.random`` call per step for all n * k - k weights.
-They fill the (n, k) weight matrix row-major through a flat mask that
-skips each member's own column (flat index ``members * k + c`` for
-column c) and holds 1 there, so the stream is consumed in exactly the
-order above. With
-``deterministic_weights`` set, no draws are consumed inside steps and
-every weight and velocity coefficient is exactly 1, which makes
+They fill the (n, k) weight matrix row-major through an (n, k) mask
+that is false at each member's own entry, row members[c], column c,
+where the weight stays 1, so the stream is consumed in exactly the
+order above. With ``deterministic_weights`` set, no draws are consumed
+inside steps: every weight and velocity coefficient is exactly 1, and
+the step runs the same code with those coefficients, which makes
 single-step oracle comparisons exact.
 
 Forces come from ``kernels.forces``, the one function that evaluates
@@ -185,13 +185,11 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
     k = kbest_size(state.iteration, config.max_iters, n, config.kbest_initial_fraction)
     members = np.sort(kbest_indices(state.fitnesses, k))
 
-    weights = np.ones(n * k)
+    weights = np.ones((n, k))
     if not config.deterministic_weights:
-        drawn = np.ones(n * k, dtype=bool)
-        # Flat index of each member's own column: row members[c], column c.
-        drawn[members * k + np.arange(k)] = False
+        drawn = np.ones((n, k), dtype=bool)
+        drawn[members, np.arange(k)] = False
         weights[drawn] = state.rng.random(n * k - k)
-    weights = weights.reshape(n, k)
 
     try:
         accel = forces(state.positions, masses, g, config.kernel, members, weights)
@@ -200,12 +198,9 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
                                  "increase epsilon") from None
     accel /= (masses + MASS_SOFTENING)[:, None]
 
-    if config.deterministic_weights:
-        velocities = state.velocities + accel
-    else:
-        velocities = state.rng.random((n, d))
-        velocities *= state.velocities
-        velocities += accel
+    velocities = np.ones((n, d)) if config.deterministic_weights else state.rng.random((n, d))
+    velocities *= state.velocities
+    velocities += accel
     raw = state.positions + velocities
     # Positions are always finite, so raw is finite exactly when the
     # velocities are.

@@ -21,30 +21,38 @@ weighted pairwise forces from the Kbest set on every agent at once, as
 the GSA update does. Only the k Kbest members exert force, so it takes
 an (n, k) weight matrix whose column c belongs to member kbest[c] and
 builds differences against those k columns alone, never all n * n
-pairs. It walks the agents in row blocks of at most ``CHUNK_ELEMENTS``
-(agent, member, dimension) differences (one row when a single row holds
-more), so the difference blocks it holds do not grow with the
-population; every row comes out bit for bit as from a single block.
-Each block is filled contiguously: every (k, d) row is first set to its
-agent's position, then subtracted from the Kbest positions in place, so
-the subtraction runs over k * d contiguous elements instead of d at a
-time; each difference is still the one IEEE subtraction x_j - x_i.
-A call that holds more than one block (n * k * d > ``CHUNK_ELEMENTS``)
-splits the agents into contiguous parts, one per usable core
-(``usable_cores``; ``force_threads`` if set), and walks each part's row
-blocks on its own thread:
-numpy releases the interpreter lock inside its array calls, so the parts
-run in parallel. The budget stays per call, shared by the parts, and
-every row goes through the same arithmetic, so the result is the same
-bit for bit. A smaller call, such as every step of a 50-agent run, runs
-inline on the calling thread.
-The engine's step and ``probe_exponent`` call it.
+pairs. The engine's step and ``probe_exponent`` call it.
 ``probe_exponent`` measures a kernel's effective distance exponent
 empirically by fitting log magnitude against log distance.
+
+Row blocks and parts. Each call splits its agents into contiguous
+parts, one per usable core (``usable_cores``; ``force_threads`` if
+set) when the call holds more than ``CHUNK_ELEMENTS`` (agent, member,
+dimension) differences, else a single part. Every part walks its agents
+in row blocks, sized so that all parts' blocks together hold at most
+``CHUNK_ELEMENTS`` differences (one row when a single row holds more),
+so the difference blocks do not grow with the population. Each part
+writes its blocks into one buffer the calling thread allocates, since
+buffers made on worker threads land in per-thread heaps and raise peak
+memory. Each block is filled contiguously: every (k, d) row is first
+set to its agent's position, then subtracted from the Kbest positions
+in place, so the subtraction runs over k * d contiguous elements
+instead of d at a time; each difference is still the one IEEE
+subtraction x_j - x_i. The calling thread runs part 0; parts 1.. run on
+a thread pool started for that call alone, in copies of the caller's
+context, which carries its errstate. numpy releases the interpreter
+lock inside its array calls, so the parts run in parallel. A pool per
+call leaves no thread alive between calls: a process forked later
+(``run_grid``'s workers) inherits none of a pool's threads, so a
+long-lived pool would hang there. Every row goes through the same
+arithmetic whatever the blocks and parts, so the result is the same
+bit for bit; a small call, such as every step of a 50-agent run, is one
+part and starts no pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import os
@@ -100,12 +108,9 @@ def forces(
     ``positions`` is (n, d), ``masses`` (n,), ``kbest`` (k,) agent
     indices and ``weights`` (n, k). Self-pairs, coincident agents and
     zero-mass pairs exert no force on each other; the pairwise terms are
-    exactly antisymmetric and always point from i toward j. Agents are
-    processed in row blocks of at most ``CHUNK_ELEMENTS`` differences in
-    all; when that is more than one block, contiguous parts of the rows
-    run on one thread per usable core (``force_threads`` if set), the
-    calling thread taking the first, with bit-identical results.
-    Callers validate their inputs.
+    exactly antisymmetric and always point from i toward j. The rows run
+    in row blocks and parts as the module docstring describes, with
+    bit-identical results. Callers validate their inputs.
     """
     sources = positions[kbest]
     source_masses = masses[kbest]
@@ -114,62 +119,44 @@ def forces(
     width = max(k * d, 1)
     parts = min(force_threads or usable_cores(), n) if n * width > CHUNK_ELEMENTS else 1
     rows = max(1, CHUNK_ELEMENTS // (parts * width))
+    power = kernel.exponent + 1.0
     total = np.empty(positions.shape)
-    shared = (sources, source_masses, g, kernel, rows)
-    if parts == 1:
-        _accumulate(total, positions, masses, weights, np.empty((min(rows, n), k, d)), *shared)
-    else:
-        # The caller allocates every part's buffer: buffers made on the
-        # worker threads land in per-thread heaps and raise peak memory.
-        bounds = [n * p // parts for p in range(parts + 1)]
-        work = [
-            (total[lo:hi], positions[lo:hi], masses[lo:hi], weights[lo:hi],
-             np.empty((min(rows, hi - lo), k, d)), *shared)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        # A pool per call leaves no thread alive between calls: a process
-        # forked later (``run_grid``'s workers) inherits none of a pool's
-        # threads, so a long-lived pool would hang there. Each part runs
-        # in a copy of the caller's context, which carries its errstate.
-        with futures.ThreadPoolExecutor(parts - 1) as pool:
-            pending = [pool.submit(contextvars.copy_context().run, _accumulate, *part)
-                       for part in work[1:]]
-            _accumulate(*work[0])
-            for future in pending:
-                future.result()
+
+    def accumulate(agents: range, buffer: np.ndarray) -> None:
+        """Write into ``total`` the forces on ``agents``, one row block
+        at a time through ``buffer`` (see the module docstring)."""
+        for start in range(agents.start, agents.stop, rows):
+            stop = min(start + rows, agents.stop)
+            diff = buffer[: stop - start]
+            # diff[i, c] = x_kbest[c] - x_i: fill every row with x_i, then
+            # subtract it from the sources over contiguous runs of k * d.
+            np.copyto(diff, positions[start:stop, None, :])
+            np.subtract(sources, diff, out=diff)
+            r = np.einsum("icd,icd->ic", diff, diff)
+            np.sqrt(r, out=r)
+            # Grouping the mass product makes it exactly symmetric, so
+            # pairwise forces are exactly antisymmetric.
+            num = masses[start:stop, None] * source_masses
+            num *= g
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coeff = num / (r ** power + kernel.epsilon)
+            coeff[(r == 0.0) | (num == 0.0)] = 0.0
+            coeff *= weights[start:stop]
+            np.einsum("ic,icd->id", coeff, diff, out=total[start:stop])
+
+    bounds = [n * p // parts for p in range(parts + 1)]
+    work = [(range(lo, hi), np.empty((min(rows, hi - lo), k, d)))
+            for lo, hi in zip(bounds, bounds[1:])]
+    with futures.ThreadPoolExecutor(parts - 1) if parts > 1 else contextlib.nullcontext() as pool:
+        pending = [pool.submit(contextvars.copy_context().run, accumulate, *part)
+                   for part in work[1:]]
+        accumulate(*work[0])
+        for future in pending:
+            future.result()
     if not np.isfinite(total).all():
         # R below the underflow scale of R**(q+1) with epsilon = 0
         raise ForceOverflowError("force overflow; increase epsilon")
     return total
-
-
-def _accumulate(out, positions, masses, weights, buffer, sources, source_masses, g, kernel, rows):
-    """Write into ``out`` the forces on the agents ``positions`` (with
-    their ``masses`` and ``weights`` rows), ``rows`` agents at a time.
-
-    Every block writes its differences into ``buffer``, so a part
-    allocates one buffer, not one per block.
-    """
-    power = kernel.exponent + 1.0
-    n = positions.shape[0]
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        diff = buffer[: stop - start]
-        # diff[i, c] = x_kbest[c] - x_i: fill every row with x_i, then
-        # subtract it from the sources over contiguous runs of k * d.
-        np.copyto(diff, positions[start:stop, None, :])
-        np.subtract(sources, diff, out=diff)
-        r = np.einsum("icd,icd->ic", diff, diff)
-        np.sqrt(r, out=r)
-        # Grouping the mass product makes it exactly symmetric, so
-        # pairwise forces are exactly antisymmetric.
-        num = masses[start:stop, None] * source_masses
-        num *= g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coeff = num / (r ** power + kernel.epsilon)
-        coeff[(r == 0.0) | (num == 0.0)] = 0.0
-        coeff *= weights[start:stop]
-        np.einsum("ic,icd->id", coeff, diff, out=out[start:stop])
 
 
 def probe_exponent(

@@ -23,7 +23,7 @@ from gravopt import (
     run_grid,
 )
 from gravopt.cli import main as cli_main
-from gravopt.engine import compute_masses, initialize, run
+from gravopt.engine import compute_masses, g_schedule, initialize, run, step
 from gravopt.experiments import cell_config
 from gravopt.objectives import sphere
 
@@ -372,4 +372,51 @@ def test_criterion_10_run_scaling_law():
         not failures,
         f"{runs - len(failures)}/{runs} runs exact; failures (q, eps, det, seed, lam): "
         f"{failures[:5]}",
+    )
+
+
+def test_criterion_11_original_acceleration_within_g():
+    # Masses sum to 1 and weights are at most 1, so under the original
+    # kernel every agent's acceleration is at most G(t) whatever the
+    # distances: the step length is set by the schedule. With
+    # deterministic weights v_{t+1} = v_t + a_t, so a_t is read off the
+    # step itself for every agent that no box edge clipped.
+    config = GsaConfig(
+        population=50,
+        dims=30,
+        lower_bound=np.full(30, -100.0),
+        upper_bound=np.full(30, 100.0),
+        kernel=KernelSpec(0.0),
+        g0=100.0,
+        alpha=20.0,
+        max_iters=1000,
+        deterministic_weights=True,
+        seed=42,
+    )
+    objective = make_objective("sphere", 30).function
+    state = initialize(config, objective)
+    largest, unchecked_steps, violations = 0.0, 0, []
+    with np.errstate(over="ignore"):
+        for t in range(config.max_iters):
+            g = g_schedule(config.g0, config.alpha, t, config.max_iters)
+            moved = step(state, config, objective)
+            inside = np.all((config.lower_bound < moved.positions)
+                            & (moved.positions < config.upper_bound), axis=1)
+            before, after = state.velocities[inside], moved.velocities[inside]
+            accel = np.linalg.norm(after - before, axis=1)
+            # the subtraction rounds at the scale of the velocities
+            slack = 1e-14 * (np.linalg.norm(before, axis=1) + np.linalg.norm(after, axis=1))
+            if accel.size == 0:
+                unchecked_steps += 1
+            else:
+                largest = max(largest, float(np.max(accel / g)))
+                if np.any(accel > g * (1.0 + 1e-12) + slack):
+                    violations.append(t)
+            state = moved
+    _report(
+        "criterion 11 (bound): original-kernel |a_i| <= G(t) for every unclipped agent "
+        "at every step of a 50 x 30 sphere run",
+        not violations and unchecked_steps == 0,
+        f"largest |a_i|/G(t)={largest:.3f}; steps with a violation: {violations[:5]}; "
+        f"steps with every agent clipped: {unchecked_steps}",
     )

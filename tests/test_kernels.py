@@ -55,7 +55,7 @@ def count_thread_parts(monkeypatch, cores):
 
     class RecordingPool(kernels.futures.ThreadPoolExecutor):
         def submit(self, fn, *args):
-            submitted.append(len(args[1]))  # args: _accumulate, its out rows, ...
+            submitted.append(len(args[1]))  # args: accumulate, its agent range, ...
             return super().submit(fn, *args)
 
     monkeypatch.setattr(kernels, "usable_cores", lambda: cores)
@@ -355,6 +355,17 @@ class TestForces:
         monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 10 * 3 * 3)
         forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:])
         assert submitted == []
+
+    def test_split_call_leaves_no_thread_running(self, monkeypatch):
+        # The pool lives for one call: every thread it started has ended
+        # when forces returns.
+        submitted = count_thread_parts(monkeypatch, 2)
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 16)
+        swarm = coincident_member_swarm(3)
+        before = threading.active_count()
+        forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:])
+        assert len(submitted) == 1
+        assert threading.active_count() == before
 
     def test_split_then_forked_grid_matches_serial(self, monkeypatch):
         # Threads started by a split must all be gone before run_grid forks
