@@ -25,37 +25,42 @@ pairs. The engine's step and ``probe_exponent`` call it.
 ``probe_exponent`` measures a kernel's effective distance exponent
 empirically by fitting log magnitude against log distance.
 
-Row blocks and parts. Each call splits its agents into contiguous
-parts, one per usable core (``usable_cores``; ``force_threads`` if
-set) when the call holds more than ``CHUNK_ELEMENTS`` (agent, member,
-dimension) differences, else a single part. Every part walks its agents
-in row blocks, sized so that all parts' blocks together hold at most
-``CHUNK_ELEMENTS`` differences (one row when a single row holds more),
-so the difference blocks do not grow with the population. Each part
-writes its blocks into one buffer the calling thread allocates, since
-buffers made on worker threads land in per-thread heaps and raise peak
-memory. Each block is filled contiguously: every (k, d) row is first
-set to its agent's position, then subtracted from the Kbest positions
-in place, so the subtraction runs over k * d contiguous elements
-instead of d at a time; each difference is still the one IEEE
-subtraction x_j - x_i. The calling thread runs part 0; parts 1.. run on
-a thread pool started for that call alone, in copies of the caller's
-context, which carries its errstate. numpy releases the interpreter
-lock inside its array calls, so the parts run in parallel. A pool per
-call leaves no thread alive between calls: a process forked later
-(``run_grid``'s workers) inherits none of a pool's threads, so a
-long-lived pool would hang there. Every row goes through the same
-arithmetic whatever the blocks and parts, so the result is the same
-bit for bit; a small call, such as every step of a 50-agent run, is one
-part and starts no pool.
+Row blocks and parts. Each call walks its agents in row blocks. It
+splits them over parts, one per usable core (``usable_cores``;
+``force_threads`` if set), when the call holds more than
+``CHUNK_ELEMENTS`` (agent, member, dimension) differences, else it runs
+a single part. Blocks are sized so that all parts' blocks together hold
+at most ``CHUNK_ELEMENTS`` differences (one row when a single row holds
+more), so the difference blocks do not grow with the population. Each
+block is filled contiguously: every (k, d) row is first set to its
+agent's position, then subtracted from the Kbest positions in place, so
+the subtraction runs over k * d contiguous elements instead of d at a
+time; each difference is still the one IEEE subtraction x_j - x_i.
+
+The calling thread runs one part; the others are tasks on one thread
+pool that lives for the process, at most ``usable_cores() - 1`` threads
+started at the first split call. Every part takes the call's next block
+from one locked source until none is left, so a part that starts late
+or runs slow takes fewer blocks. numpy releases the interpreter lock
+inside its array calls, so the parts run in parallel. Each part writes
+through its own buffer into one output, all of them allocated by the
+calling thread, since buffers made on worker threads land in per-thread
+heaps and raise peak memory. The tasks run in copies of the caller's
+context, which carries its errstate. A call returns, or raises, only
+once every task it started has ended. A forked child (``run_grid``'s
+workers) inherits none of the pool's threads, so it drops the pool and
+starts its own at its first split call. Every row goes through the same
+arithmetic whatever the blocks and parts, so the result is the same bit
+for bit; a small call, such as every step of a 50-agent run, is one
+part and uses no thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
 import os
+import threading
 from concurrent import futures  # its thread module loads at the first split call
 from typing import Sequence
 
@@ -74,6 +79,30 @@ force_threads: int | None = None
 
 #: 25 logarithmically spaced probe distances spanning nine decades.
 DEFAULT_PROBE_DISTANCES: tuple[float, ...] = tuple(np.geomspace(1e-3, 1e6, 25))
+
+
+_pool: futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _thread_pool() -> futures.ThreadPoolExecutor:
+    """The force threads, started at the first split call and kept. The
+    calling thread runs a part itself, so one core is left for it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(max(1, usable_cores() - 1))
+        return _pool
+
+
+def _drop_pool() -> None:
+    """In a forked child: the parent's force threads do not exist here."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
 
 
 class ForceOverflowError(ArithmeticError):
@@ -121,12 +150,18 @@ def forces(
     rows = max(1, CHUNK_ELEMENTS // (parts * width))
     power = kernel.exponent + 1.0
     total = np.empty(positions.shape)
+    starts = iter(range(0, n, rows))
+    starts_lock = threading.Lock()
 
-    def accumulate(agents: range, buffer: np.ndarray) -> None:
-        """Write into ``total`` the forces on ``agents``, one row block
-        at a time through ``buffer`` (see the module docstring)."""
-        for start in range(agents.start, agents.stop, rows):
-            stop = min(start + rows, agents.stop)
+    def accumulate(buffer: np.ndarray) -> None:
+        """Write into ``total`` the forces on the blocks this part takes,
+        one at a time through ``buffer`` (see the module docstring)."""
+        while True:
+            with starts_lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            stop = min(start + rows, n)
             diff = buffer[: stop - start]
             # diff[i, c] = x_kbest[c] - x_i: fill every row with x_i, then
             # subtract it from the sources over contiguous runs of k * d.
@@ -144,15 +179,20 @@ def forces(
             coeff *= weights[start:stop]
             np.einsum("ic,icd->id", coeff, diff, out=total[start:stop])
 
-    bounds = [n * p // parts for p in range(parts + 1)]
-    work = [(range(lo, hi), np.empty((min(rows, hi - lo), k, d)))
-            for lo, hi in zip(bounds, bounds[1:])]
-    with futures.ThreadPoolExecutor(parts - 1) if parts > 1 else contextlib.nullcontext() as pool:
-        pending = [pool.submit(contextvars.copy_context().run, accumulate, *part)
-                   for part in work[1:]]
-        accumulate(*work[0])
-        for future in pending:
-            future.result()
+    buffers = [np.empty((min(rows, n), k, d)) for _ in range(parts)]
+    tasks = [_thread_pool().submit(contextvars.copy_context().run, accumulate, buffer)
+             for buffer in buffers[1:]]
+    try:
+        accumulate(buffers[0])
+    finally:
+        # A task no thread has started would find no block left, or the
+        # call has failed: cancel it. Wait for the others, so no block of
+        # this call runs after it returns, even when a part raised.
+        started = [task for task in tasks if not task.cancel()]
+        if started:
+            futures.wait(started)
+    for task in started:
+        task.result()
     if not np.isfinite(total).all():
         # R below the underflow scale of R**(q+1) with epsilon = 0
         raise ForceOverflowError("force overflow; increase epsilon")

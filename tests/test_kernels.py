@@ -1,6 +1,9 @@
 import math
 import multiprocessing
+import sys
 import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -48,19 +51,56 @@ def coincident_member_swarm(dims):
     return positions, masses, np.array([2, 3, 7]), rng.random((10, 3))
 
 
-def count_thread_parts(monkeypatch, cores):
-    """Set the usable core count; return the list of the row counts of
-    the parts that ``forces`` hands to worker threads from then on."""
+#: Pools that ``count_thread_parts`` made ``forces`` start; each test's end
+#: shuts them down, so no test sees another test's threads.
+recording_pools = []
+
+
+@pytest.fixture(autouse=True)
+def shut_down_recording_pools():
+    yield
+    while recording_pools:
+        recording_pools.pop().shutdown()
+
+
+def count_thread_parts(monkeypatch, cores, worker_first=False, worker_delay=0.0):
+    """Set the usable core count and start from no force pool; return the
+    list of the futures of the pull tasks ``forces`` submits to the pool
+    it starts from then on. With ``worker_first`` each submit returns only
+    once its task has ended, so the pool's threads take every block; with
+    ``worker_delay`` each task waits that many seconds before it takes its
+    first block."""
     submitted = []
 
     class RecordingPool(kernels.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            recording_pools.append(self)
+
         def submit(self, fn, *args):
-            submitted.append(len(args[1]))  # args: accumulate, its agent range, ...
-            return super().submit(fn, *args)
+            def task():
+                time.sleep(worker_delay)
+                return fn(*args)
+
+            future = super().submit(task)
+            submitted.append(future)
+            if worker_first:
+                kernels.futures.wait([future])
+            return future
 
     monkeypatch.setattr(kernels, "usable_cores", lambda: cores)
+    monkeypatch.setattr(kernels, "_pool", None)
     monkeypatch.setattr(kernels.futures, "ThreadPoolExecutor", RecordingPool)
     return submitted
+
+
+def split_in_fresh_child():
+    """Run in a forked child: whether it started without a force pool, and
+    the threads it runs after one split call of ``coincident_member_swarm``."""
+    had_pool = kernels._pool is not None
+    swarm = coincident_member_swarm(3)
+    forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:])
+    return had_pool, threading.active_count()
 
 
 def random_pair(rng, dims, mass_range=(1e-3, 1e3), r_range=(1e-6, 1e6)):
@@ -356,16 +396,74 @@ class TestForces:
         forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:])
         assert submitted == []
 
-    def test_split_call_leaves_no_thread_running(self, monkeypatch):
-        # The pool lives for one call: every thread it started has ended
-        # when forces returns.
-        submitted = count_thread_parts(monkeypatch, 2)
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_split_calls_reuse_the_pool(self, monkeypatch, cores):
+        # The first split call starts the pool; later calls reuse its
+        # threads, and it never runs more than one per core but the
+        # caller's. Held-back tasks make the first call start every
+        # thread it submits to, rather than reuse one that ended early.
+        submitted = count_thread_parts(monkeypatch, cores, worker_delay=0.01)
         monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 16)
         swarm = coincident_member_swarm(3)
-        before = threading.active_count()
+        before = set(threading.enumerate())
         forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:])
-        assert len(submitted) == 1
-        assert threading.active_count() == before
+        after_first = set(threading.enumerate())
+        assert 1 <= len(after_first - before) <= cores - 1
+        for _ in range(3):
+            forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:])
+            assert threading.active_count() == len(after_first)
+            assert set(threading.enumerate()) == after_first
+        assert len(submitted) == 4 * (cores - 1)
+
+    def test_failed_split_call_leaves_no_task_running(self, monkeypatch):
+        # The caller's first block overflows while the worker's task is
+        # still held back; forces must wait for that task, which then
+        # takes the blocks the caller left, before it raises.
+        submitted = count_thread_parts(monkeypatch, 2, worker_delay=0.05)
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 1)
+        positions = np.zeros((40, 2))
+        positions[1:, 0] = np.arange(1.0, 40.0)
+        positions[0] = 1e150
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forces(positions, np.ones(40), 1.0, KernelSpec(2.0), np.array([1]),
+                   np.ones((40, 1)))
+        assert len(submitted) == 1 and all(task.done() for task in submitted)
+        swarm = coincident_member_swarm(3)
+        split = forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:])
+        assert len(submitted) == 2
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 1 << 20)
+        assert np.array_equal(split, forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:]))
+
+    def test_concurrent_split_calls_match_serial(self, monkeypatch):
+        # Two user threads share the pool, each with its own swarms; a
+        # block lost or taken twice would leave a row unwritten or wrong.
+        swarms = [coincident_member_swarm(dims) for dims in (2, 3, 5, 7)]
+        serial = [forces(s[0], s[1], 3.0, KernelSpec(2.0), *s[2:]) for s in swarms]
+        submitted = count_thread_parts(monkeypatch, 2)
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 1)
+        results = {0: [], 1: []}
+
+        def caller(index):
+            for _ in range(25):
+                for s in swarms[index::2]:
+                    results[index].append(forces(s[0], s[1], 3.0, KernelSpec(2.0), *s[2:]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in (0, 1)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers), "split forces calls hung"
+        for index in (0, 1):
+            expected = serial[index::2] * 25
+            assert len(results[index]) == len(expected)
+            assert all(np.array_equal(got, want) for got, want in zip(results[index], expected))
+        assert len(submitted) == 100
 
     def test_split_then_forked_grid_matches_serial(self, monkeypatch):
         # Threads started by a split must all be gone before run_grid forks
@@ -408,14 +506,28 @@ class TestForces:
             replace(row, wall_seconds=0.0) for row in serial
         ]
 
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        # The parent's pool threads do not exist in a forked child, so the
+        # child drops that pool and starts its own at its first split call.
+        count_thread_parts(monkeypatch, 2)
+        monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 16)
+        swarm = coincident_member_swarm(3)
+        forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:])
+        assert kernels._pool is not None
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=fork) as child:
+            assert child.submit(split_in_fresh_child).result(timeout=60) == (False, 2)
+
     @pytest.mark.parametrize("cores, chunk", [(1, kernels.CHUNK_ELEMENTS), (2, 1)])
     def test_caller_errstate_applies_in_every_part(self, monkeypatch, cores, chunk):
-        # Only the last row, on the second part's thread when split, has
-        # R**3 beyond the float range.
-        submitted = count_thread_parts(monkeypatch, cores)
+        # Only the last row has R**3 beyond the float range. When split,
+        # the pool's thread takes every block before the caller takes any,
+        # so it is that thread that must raise under the caller's errstate.
+        submitted = count_thread_parts(monkeypatch, cores, worker_first=True)
         monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", chunk)
         positions = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [1e150, 1e150]])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             forces(positions, np.ones(4), 1.0, KernelSpec(2.0), np.array([0]),
                    np.ones((4, 1)))
         assert len(submitted) == cores - 1
+        assert all(isinstance(task.exception(), FloatingPointError) for task in submitted)
