@@ -38,8 +38,8 @@ the subtraction runs over k * d contiguous elements instead of d at a
 time; each difference is still the one IEEE subtraction x_j - x_i.
 
 The calling thread runs one part; the others are tasks on one thread
-pool that lives for the process, at most ``usable_cores() - 1`` threads
-started at the first split call. Every part takes the call's next block
+pool that lives for the process: ``usable_cores() - 1`` threads at most
+(one on a single core), started at the first split call. Every part takes the call's next block
 from one locked source until none is left, so a part that starts late
 or runs slow takes fewer blocks. numpy releases the interpreter lock
 inside its array calls, so the parts run in parallel. Each part writes
@@ -74,7 +74,7 @@ CHUNK_ELEMENTS = 1 << 20
 
 #: Most threads one ``forces`` call splits over; None means one per usable
 #: core. Each of ``run_grid``'s W pool workers sets it to its share of the
-#: cores, usable_cores() // W, so the pool runs no more threads than cores.
+#: cores, usable_cores() // W, so the grid runs no more threads than cores.
 force_threads: int | None = None
 
 #: 25 logarithmically spaced probe distances spanning nine decades.

@@ -466,7 +466,7 @@ class TestForces:
         assert len(submitted) == 100
 
     def test_split_then_forked_grid_matches_serial(self, monkeypatch):
-        # Threads started by a split must all be gone before run_grid forks
+        # A split call leaves the pool's threads running when run_grid forks
         # its workers, which split their own calls too.
         submitted = count_thread_parts(monkeypatch, 2)
         monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 16)
