@@ -14,7 +14,8 @@ string, "deterministic_weights" true or false, and the bounds and probe
 grid a list of numbers.
 
 Exit codes: 0 success, 2 usage error (a config too large for memory
-included), 3 numeric divergence or force overflow, 4 I/O failure.
+included), 3 numeric divergence or force overflow, 4 I/O failure (an
+output path that can take no file fails before anything is computed).
 """
 
 from __future__ import annotations
@@ -201,8 +202,21 @@ def _build_config(settings: dict) -> tuple[GsaConfig, ObjectiveSpec]:
     return GsaConfig(**values), objective
 
 
+def _check_output(path: str | Path | None) -> None:
+    """Fail before computing, which can take minutes, if ``path`` can take
+    no file; None stands for stdout."""
+    if path is None:
+        return
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"is a directory: '{path}'")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"no such directory: '{path.parent}'")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config, objective = _build_config(_merged_settings(args))
+    _check_output(args.trace)
     trace = run(config, objective.function)
     write_trace_csv(trace, config, sys.stdout if args.trace is None else args.trace)
     return EXIT_OK
@@ -213,7 +227,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     kernel = KernelSpec.named(settings["kernel"], settings["epsilon"])
     grid = settings["probe_r_values"]
     r_values = DEFAULT_PROBE_DISTANCES if grid is None else grid
-    report = probe_exponent(kernel, settings["g0"], 1.0, 1.0, r_values)
+    _check_output(args.out)
+    report = probe_exponent(kernel, settings["g0"], r_values)
     write_probe_csv(report, sys.stdout if args.out is None else args.out)
     return EXIT_OK
 
@@ -236,9 +251,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         repetitions=settings["repetitions"],
     )
     summary_path = _summary_path(args.out)
-    if not summary_path.parent.is_dir():
-        # before the grid, which can run for minutes
-        raise FileNotFoundError(f"no such directory: '{summary_path.parent}'")
+    _check_output(args.out)
+    _check_output(summary_path)
     rows = run_grid(plan, jobs=args.jobs)
     summary = summarize(rows)
 

@@ -151,15 +151,9 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     workers = min(jobs or usable_cores(), len(cells))
     if workers <= 1:
         return [_run_cell(cell) for cell in cells]
-    share = max(1, usable_cores() // workers)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_share_cores,
-                             initargs=(share,)) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=kernels.share_cores,
+                             initargs=(workers,)) as pool:
         return list(pool.map(_run_cell, cells))
-
-
-def _share_cores(cores: int) -> None:
-    """Pool initializer: this worker's force calls split over ``cores`` threads."""
-    kernels.force_threads = cores
 
 
 @dataclass(frozen=True)

@@ -25,34 +25,32 @@ pairs. The engine's step and ``probe_exponent`` call it.
 ``probe_exponent`` measures a kernel's effective distance exponent
 empirically by fitting log magnitude against log distance.
 
-Row blocks and parts. Each call walks its agents in row blocks. It
-splits them over parts, one per usable core (``usable_cores``;
-``force_threads`` if set), when the call holds more than
-``CHUNK_ELEMENTS`` (agent, member, dimension) differences, else it runs
-a single part. Blocks are sized so that all parts' blocks together hold
-at most ``CHUNK_ELEMENTS`` differences (one row when a single row holds
-more), so the difference blocks do not grow with the population. Each
-block is filled contiguously: every (k, d) row is first set to its
-agent's position, then subtracted from the Kbest positions in place, so
-the subtraction runs over k * d contiguous elements instead of d at a
-time; each difference is still the one IEEE subtraction x_j - x_i.
+Row blocks and parts. Each call walks its agents in row blocks, sized so
+that the blocks in flight hold at most ``CHUNK_ELEMENTS`` (agent,
+member, dimension) differences together (one row when a row holds more),
+so they do not grow with the population. A call above that budget splits
+over parts: one per usable core (``usable_cores``), or in each of
+``run_grid``'s W workers its share, ``usable_cores() // W``, which
+``share_cores`` sets. Each block is filled contiguously: every (k, d) row
+is set to its agent's position, then subtracted from the Kbest positions
+in place, so the subtraction runs over k * d contiguous elements; each
+difference is still the one IEEE subtraction x_j - x_i.
 
 The calling thread runs one part; the others are tasks on one thread
-pool that lives for the process: ``usable_cores() - 1`` threads at most
-(one on a single core), started at the first split call. Every part takes the call's next block
-from one locked source until none is left, so a part that starts late
-or runs slow takes fewer blocks. numpy releases the interpreter lock
-inside its array calls, so the parts run in parallel. Each part writes
-through its own buffer into one output, all of them allocated by the
-calling thread, since buffers made on worker threads land in per-thread
-heaps and raise peak memory. The tasks run in copies of the caller's
-context, which carries its errstate. A call returns, or raises, only
-once every task it started has ended. A forked child (``run_grid``'s
-workers) inherits none of the pool's threads, so it drops the pool and
-starts its own at its first split call. Every row goes through the same
-arithmetic whatever the blocks and parts, so the result is the same bit
-for bit; a small call, such as every step of a 50-agent run, is one
-part and uses no thread.
+pool of ``usable_cores() - 1`` threads at most (one on a single core),
+started at the first split call and kept for the process. Every part
+takes the call's next block from one locked source until none is left,
+so a part that starts late or runs slow takes fewer. numpy releases the
+interpreter lock inside its array calls, so the parts run in parallel.
+Each part writes through its own buffer into one output, all allocated
+by the calling thread, since buffers made on worker threads land in
+per-thread heaps and raise peak memory. The tasks run in copies of the
+caller's context, which carries its errstate. A call returns, or raises,
+only once every task it started has ended. A forked child inherits none
+of the pool's threads, so it drops the pool and starts its own. Every
+row goes through the same arithmetic whatever the blocks and parts, so
+the result is the same bit for bit; a small call, such as every step of
+a 50-agent run, is one part and uses no thread.
 """
 
 from __future__ import annotations
@@ -72,10 +70,9 @@ from .core import KernelSpec, ProbeReport
 #: dimension) differences, shared by all its parts: 8 MiB of float64.
 CHUNK_ELEMENTS = 1 << 20
 
-#: Most threads one ``forces`` call splits over; None means one per usable
-#: core. Each of ``run_grid``'s W pool workers sets it to its share of the
-#: cores, usable_cores() // W, so the grid runs no more threads than cores.
-force_threads: int | None = None
+#: Most parts one ``forces`` call splits into; None means one per usable
+#: core. Only ``share_cores`` sets it.
+_share: int | None = None
 
 #: 25 logarithmically spaced probe distances spanning nine decades.
 DEFAULT_PROBE_DISTANCES: tuple[float, ...] = tuple(np.geomspace(1e-3, 1e6, 25))
@@ -122,6 +119,13 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def share_cores(workers: int) -> None:
+    """Pool initializer of ``run_grid``'s ``workers`` processes: each one's
+    calls split into at most its share of the cores, at least one part."""
+    global _share
+    _share = max(1, usable_cores() // workers)
+
+
 def forces(
     positions: np.ndarray,
     masses: np.ndarray,
@@ -146,7 +150,7 @@ def forces(
     k, d = sources.shape
     n = positions.shape[0]
     width = max(k * d, 1)
-    parts = min(force_threads or usable_cores(), n) if n * width > CHUNK_ELEMENTS else 1
+    parts = min(_share or usable_cores(), n) if n * width > CHUNK_ELEMENTS else 1
     rows = max(1, CHUNK_ELEMENTS // (parts * width))
     power = kernel.exponent + 1.0
     total = np.empty(positions.shape)
@@ -202,28 +206,23 @@ def forces(
 def probe_exponent(
     kernel: KernelSpec,
     g: float,
-    m_i: float,
-    m_j: float,
     r_values: Sequence[float] = DEFAULT_PROBE_DISTANCES,
 ) -> ProbeReport:
     """Empirically fit the kernel's force-magnitude distance exponent.
 
-    Places one agent at the origin and another at distance r along the
-    first coordinate axis for every r in r_values (magnitudes are
+    Places one unit-mass agent at the origin and another at distance r
+    along the first coordinate axis for every r in r_values (magnitudes are
     rotation-invariant, so one axis suffices), evaluates the force each
     of them feels from the origin agent in one ``forces`` call, then fits
     log magnitude against log distance by ordinary least squares. For an exact power
-    law with epsilon = 0 the fitted slope is -q to floating-point noise.
+    law with epsilon = 0 the fitted slope is -q and the intercept ln G, to
+    floating-point noise.
     """
     rs = np.asarray(r_values, dtype=float)
     if rs.ndim != 1 or np.unique(rs).size < 2:
         raise ValueError("r_values needs at least two distinct entries")
     if not np.all(np.isfinite(rs)) or np.any(rs <= 0.0):
         raise ValueError("all probe distances must be finite and > 0")
-    m_i = float(m_i)
-    m_j = float(m_j)
-    if not (m_i > 0.0 and m_j > 0.0 and math.isfinite(m_i) and math.isfinite(m_j)):
-        raise ValueError("probe masses must be finite and > 0")
     g = float(g)
     if not math.isfinite(g) or g <= 0.0:
         raise ValueError(f"G must be finite and > 0, got {g}")
@@ -233,9 +232,7 @@ def probe_exponent(
     n = rs.size + 1
     positions = np.zeros((n, 2))
     positions[1:, 0] = rs
-    masses = np.full(n, m_j)
-    masses[0] = m_i
-    pulls = forces(positions, masses, g, kernel, np.array([0]), np.ones((n, 1)))[1:]
+    pulls = forces(positions, np.ones(n), g, kernel, np.array([0]), np.ones((n, 1)))[1:]
     magnitudes = np.sqrt(np.einsum("kd,kd->k", pulls, pulls))
     if np.any(magnitudes == 0.0):
         raise ValueError("zero force magnitude encountered during probe")

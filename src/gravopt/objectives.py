@@ -62,8 +62,6 @@ class ObjectiveSpec:
 
     name: str
     dims: int
-    default_lower: float
-    default_upper: float
 
     def __post_init__(self):
         if self.name not in _REGISTRY:
@@ -79,16 +77,15 @@ class ObjectiveSpec:
     def function(self) -> Callable[[np.ndarray], np.ndarray]:
         return _REGISTRY[self.name][0]
 
+    @property
+    def default_lower(self) -> float:
+        return -_REGISTRY[self.name][1]
+
+    @property
+    def default_upper(self) -> float:
+        return _REGISTRY[self.name][1]
+
 
 def make_objective(name: str, dims: int) -> ObjectiveSpec:
     """Look up a benchmark by name (case-insensitive) at the given dims."""
-    key = str(name).strip().lower()
-    if key not in _REGISTRY:
-        raise ValueError(
-            f"unknown objective '{name}'; valid names: " + ", ".join(objective_names())
-        )
-    half_width = _REGISTRY[key][1]
-    return ObjectiveSpec(
-        name=key, dims=int(dims), default_lower=-half_width, default_upper=half_width
-    )
-
+    return ObjectiveSpec(name=str(name).strip().lower(), dims=int(dims))

@@ -523,3 +523,20 @@ class TestCompareCommand:
         assert code == 4
         assert capsys.readouterr().err == (
             f"gravopt: i/o failure: no such directory: '{tmp_path / 'missing'}'\n")
+
+    @pytest.mark.parametrize("command", ["run", "probe", "compare"])
+    @pytest.mark.parametrize("out,message", [
+        ("dir", "is a directory: '{}'"),
+        ("missing/o.csv", "no such directory: '{}'"),
+    ])
+    def test_unwritable_output_fails_before_computing(self, command, out, message,
+                                                      tmp_path, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("computed before the output path was checked")
+
+        for name in ("run", "run_grid", "probe_exponent"):
+            monkeypatch.setattr(cli, name, not_called)
+        (tmp_path / "dir").mkdir()
+        assert cli.main([command, *small_argv(command, tmp_path, out)]) == 4
+        named = tmp_path / out if out == "dir" else tmp_path / "missing"
+        assert capsys.readouterr().err == f"gravopt: i/o failure: {message.format(named)}\n"

@@ -69,15 +69,28 @@ def make_row(kernel="original", objective="sphere", rep=0, final=1.0):
     )
 
 
-def force_threads_and_rows(cell):
-    """Stands in for a grid cell: the calling process's force-thread budget
-    and the rows of a force call big enough to split (300 x 300 x 30)."""
+#: One entry per part that a ``forces`` call of this process handed to a
+#: pool thread, while ``counted_thread_pool`` stands in for the pool.
+pool_parts = []
+real_thread_pool = kernels._thread_pool
+
+
+def counted_thread_pool():
+    """``forces`` asks for the pool once per part it does not run itself."""
+    pool_parts.append(None)
+    return real_thread_pool()
+
+
+def force_parts_and_rows(cell):
+    """Stands in for a grid cell: the number of parts a force call big
+    enough to split (300 x 300 x 30) runs in, and its rows."""
+    pool_parts.clear()
     rng = np.random.Generator(np.random.PCG64(3))
     positions = rng.uniform(-1.0, 1.0, (300, 30))
     masses = rng.uniform(0.1, 1.0, 300)
     rows = forces(positions, masses, 1.0, KernelSpec(2.0), np.arange(300),
                   rng.random((300, 300)))
-    return kernels.force_threads, rows
+    return 1 + len(pool_parts), rows
 
 
 class TestSeedDerivation:
@@ -207,12 +220,15 @@ class TestRunGrid:
             run_grid(small_plan(), jobs=-1)
 
     def test_pool_workers_split_forces_over_their_share_of_cores(self, monkeypatch):
-        monkeypatch.setattr(experiments, "usable_cores", lambda: 5)
-        monkeypatch.setattr(experiments, "_run_cell", force_threads_and_rows)
+        # the pool forks after the patches, so its workers see them too
+        monkeypatch.setattr(kernels, "usable_cores", lambda: 5)
+        monkeypatch.setattr(kernels, "_thread_pool", counted_thread_pool)
+        monkeypatch.setattr(experiments, "_run_cell", force_parts_and_rows)
         pooled = run_grid(small_plan(repetitions=1), jobs=2)
-        monkeypatch.setattr(kernels, "force_threads", 1)
-        _, serial = force_threads_and_rows(None)
-        assert [threads for threads, _ in pooled] == [2] * 4  # 5 cores // 2 workers
+        monkeypatch.setattr(kernels, "usable_cores", lambda: 1)
+        parts, serial = force_parts_and_rows(None)
+        assert parts == 1
+        assert [parts for parts, _ in pooled] == [2] * 4  # 5 cores // 2 workers
         assert all(np.array_equal(rows, serial) for _, rows in pooled)
 
     def test_single_cell_never_starts_a_pool(self, monkeypatch):

@@ -201,41 +201,37 @@ class TestForceMagnitude:
 class TestProbeExponent:
     def test_original_slope_zero(self):
         report = probe_exponent(
-            KernelSpec(0.0, 0.0), 1.0, 1.0, 1.0, [1e-3, 1.0, 1e3, 1e6]
+            KernelSpec(0.0, 0.0), 1.0, [1e-3, 1.0, 1e3, 1e6]
         )
         assert abs(report.fitted_slope) < 1e-9
         assert report.max_residual < 1e-9
 
     def test_inverse_square_slope(self):
         report = probe_exponent(
-            KernelSpec(2.0, 0.0), 1.0, 1.0, 1.0, [1e-3, 1.0, 1e3, 1e6]
+            KernelSpec(2.0, 0.0), 1.0, [1e-3, 1.0, 1e3, 1e6]
         )
         assert report.fitted_slope == pytest.approx(-2.0, abs=1e-9)
 
     def test_fractional_exponent_matches_closed_form(self):
-        g, m_i, m_j, q = 3.0, 2.0, 5.0, 1.5
+        g, q = 3.0, 1.5
         rs = np.geomspace(0.1, 1e4, 12)
-        report = probe_exponent(KernelSpec(q, 0.0), g, m_i, m_j, rs)
+        report = probe_exponent(KernelSpec(q, 0.0), g, rs)
         assert report.fitted_slope == pytest.approx(-q, abs=1e-9)
-        # samples must match the closed-form magnitude G*m_i*m_j/R**q
+        # samples must match the closed-form magnitude G/R**q at unit masses
         for r, magnitude in report.samples:
-            assert magnitude == pytest.approx(g * m_i * m_j / r**q, rel=1e-12)
+            assert magnitude == pytest.approx(g / r**q, rel=1e-12)
 
     def test_intercept_is_log_gmm(self):
-        report = probe_exponent(KernelSpec(0.0, 0.0), 100.0, 1.0, 1.0)
+        report = probe_exponent(KernelSpec(0.0, 0.0), 100.0)
         assert report.fitted_intercept == pytest.approx(math.log(100.0), abs=1e-12)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
-            probe_exponent(KernelSpec(0.0, 0.0), 1.0, 1.0, 1.0, [0.0, 1.0])
+            probe_exponent(KernelSpec(0.0, 0.0), 1.0, [0.0, 1.0])
 
     def test_needs_two_distinct_distances(self):
         with pytest.raises(ValueError):
-            probe_exponent(KernelSpec(0.0, 0.0), 1.0, 1.0, 1.0, [2.0, 2.0])
-
-    def test_nonpositive_mass_rejected(self):
-        with pytest.raises(ValueError):
-            probe_exponent(KernelSpec(0.0, 0.0), 1.0, 0.0, 1.0, [1.0, 2.0])
+            probe_exponent(KernelSpec(0.0, 0.0), 1.0, [2.0, 2.0])
 
 
 class TestInvariants:
@@ -531,3 +527,14 @@ class TestForces:
                    np.ones((4, 1)))
         assert len(submitted) == cores - 1
         assert all(isinstance(task.exception(), FloatingPointError) for task in submitted)
+
+
+class TestUsableCores:
+    def test_without_affinity_counts_every_cpu(self, monkeypatch):
+        # platforms without sched_getaffinity fall back to os.cpu_count(),
+        # which returns None when the count is unknown
+        monkeypatch.delattr(kernels.os, "sched_getaffinity")
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: 3)
+        assert kernels.usable_cores() == 3
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: None)
+        assert kernels.usable_cores() == 1

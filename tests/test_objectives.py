@@ -99,9 +99,9 @@ class TestSpecAndEvaluate:
 
     def test_bad_spec_construction(self):
         with pytest.raises(ValueError):
-            ObjectiveSpec(name="nope", dims=2, default_lower=-1.0, default_upper=1.0)
+            ObjectiveSpec(name="nope", dims=2)
         with pytest.raises(ValueError):
-            ObjectiveSpec(name="sphere", dims=0, default_lower=-1.0, default_upper=1.0)
+            ObjectiveSpec(name="sphere", dims=0)
 
     def test_rosenbrock_needs_two_dims(self):
         # one coordinate has no consecutive pair, so the sum is identically 0
