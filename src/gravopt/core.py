@@ -1,9 +1,11 @@
 """Shared value types: kernel selectors, run configuration, traces.
 
 All types here are plain values, immutable after construction. Vector
-fields are stored as read-only float64 numpy arrays. Construction rejects
-non-finite entries, and GsaConfig's constructor checks every run
-invariant (population size, bounds box, ...), raising ConfigError.
+fields are stored as read-only float64 numpy arrays. Only KernelSpec and
+GsaConfig check their inputs: they reject non-finite entries, and
+GsaConfig's constructor checks every run invariant (population size,
+bounds box, ...), raising ConfigError. RunTrace and ProbeReport carry
+what their one producer, ``run`` or ``probe_exponent``, guarantees.
 """
 
 from __future__ import annotations
@@ -134,6 +136,9 @@ class GsaConfig:
             object.__setattr__(self, name, bound)
         if not np.all(self.lower_bound < self.upper_bound):
             raise ConfigError("bounds describe an empty box (lower < upper required)")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.upper_bound - self.lower_bound)):
+                raise ConfigError("upper_bound - lower_bound must be finite in float64")
         if not isinstance(self.kernel, KernelSpec):
             raise ValueError("kernel must be a KernelSpec")
         for name in ("g0", "alpha", "kbest_initial_fraction"):
@@ -159,7 +164,8 @@ class RunTrace:
 
     best_so_far, population_best and population_mean are read-only
     float64 arrays of equal length; entry t belongs to iteration t + 1.
-    best_so_far is non-increasing.
+    ``run`` fills them with finite values and keeps best_so_far
+    non-increasing.
     """
 
     best_so_far: np.ndarray
@@ -168,18 +174,11 @@ class RunTrace:
     final_best_position: np.ndarray
 
     def __post_init__(self):
-        for name in ("best_so_far", "population_best", "population_mean"):
-            object.__setattr__(self, name, _readonly_vector(getattr(self, name), name))
-        lengths = {self.best_so_far.size, self.population_best.size, self.population_mean.size}
-        if len(lengths) != 1:
-            raise ValueError("trace columns must have equal length")
-        if np.any(np.diff(self.best_so_far) > 0.0):
-            raise ValueError("best_so_far must be non-increasing")
-        object.__setattr__(
-            self,
-            "final_best_position",
-            _readonly_vector(self.final_best_position, "final_best_position"),
-        )
+        for name in ("best_so_far", "population_best", "population_mean",
+                     "final_best_position"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def final_best(self) -> float:
@@ -188,35 +187,11 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Sampled (distance, force magnitude) pairs and their log-log fit."""
+    """Sampled (distance, force magnitude) pairs and their log-log fit, as
+    ``probe_exponent`` measured them: finite, with distinct distances > 0
+    and magnitudes > 0."""
 
     samples: tuple[tuple[float, float], ...]
     fitted_slope: float
     fitted_intercept: float
     max_residual: float
-
-    def __post_init__(self):
-        samples = tuple((float(r), float(m)) for r, m in self.samples)
-        distances = {r for r, _ in samples}
-        if len(distances) < 2:
-            raise ValueError("probe needs at least two distinct distances")
-        for r, m in samples:
-            if not (math.isfinite(r) and math.isfinite(m)):
-                raise ValueError("probe samples must be finite")
-            if r <= 0.0:
-                raise ValueError(f"probe distance must be > 0, got {r}")
-            if m < 0.0:
-                raise ValueError(f"force magnitude must be >= 0, got {m}")
-        max_residual = _finite_scalar(self.max_residual, "max_residual")
-        if max_residual < 0.0:
-            raise ValueError("max_residual must be >= 0")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(
-            self, "fitted_slope", _finite_scalar(self.fitted_slope, "fitted_slope")
-        )
-        object.__setattr__(
-            self,
-            "fitted_intercept",
-            _finite_scalar(self.fitted_intercept, "fitted_intercept"),
-        )
-        object.__setattr__(self, "max_residual", max_residual)

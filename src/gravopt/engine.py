@@ -96,12 +96,9 @@ def compute_masses(fitnesses: Sequence[float]) -> np.ndarray:
     The best agent gets the maximum mass, the worst gets exactly 0, and
     a population with all-equal fitness gets uniform masses 1/n. The
     scheme is invariant under positive affine transforms of the fitness.
+    ``step`` passes the finite fitnesses of a population of at least two.
     """
     fits = np.asarray(fitnesses, dtype=float)
-    if fits.ndim != 1 or fits.size < 2:
-        raise ValueError("compute_masses needs at least two fitness values")
-    if not np.isfinite(fits).all():
-        raise ValueError("fitness values must be finite")
     best = fits.min()
     worst = fits.max()
     if best == worst:

@@ -210,13 +210,15 @@ def probe_exponent(
 ) -> ProbeReport:
     """Empirically fit the kernel's force-magnitude distance exponent.
 
-    Places one unit-mass agent at the origin and another at distance r
-    along the first coordinate axis for every r in r_values (magnitudes are
-    rotation-invariant, so one axis suffices), evaluates the force each
-    of them feels from the origin agent in one ``forces`` call, then fits
-    log magnitude against log distance by ordinary least squares. For an exact power
-    law with epsilon = 0 the fitted slope is -q and the intercept ln G, to
-    floating-point noise.
+    Places one unit-mass agent at the origin and another at distance r on
+    one axis for every r in r_values (magnitudes are rotation-invariant,
+    so a 1-D swarm suffices), evaluates the force each of them feels from
+    the origin agent in one ``forces`` call, then fits log magnitude
+    against log distance by ordinary least squares. Each magnitude is |f|
+    of the pull's one component, so it is finite whenever the force is;
+    overflows that leave no non-finite force are silenced as in ``run``.
+    For an exact power law with epsilon = 0 the fitted slope is -q and the
+    intercept ln G, to floating-point noise.
     """
     rs = np.asarray(r_values, dtype=float)
     if rs.ndim != 1 or np.unique(rs).size < 2:
@@ -228,12 +230,13 @@ def probe_exponent(
         raise ValueError(f"G must be finite and > 0, got {g}")
 
     # Agent 0 at the origin is the only force source; agent k sits at
-    # distance rs[k-1] on the first axis and feels the force from it.
+    # distance rs[k-1] and feels the force from it.
     n = rs.size + 1
-    positions = np.zeros((n, 2))
+    positions = np.zeros((n, 1))
     positions[1:, 0] = rs
-    pulls = forces(positions, np.ones(n), g, kernel, np.array([0]), np.ones((n, 1)))[1:]
-    magnitudes = np.sqrt(np.einsum("kd,kd->k", pulls, pulls))
+    with np.errstate(over="ignore"):
+        pulls = forces(positions, np.ones(n), g, kernel, np.array([0]), np.ones((n, 1)))
+    magnitudes = np.abs(pulls[1:, 0])
     if np.any(magnitudes == 0.0):
         raise ValueError("zero force magnitude encountered during probe")
 

@@ -23,7 +23,7 @@ from gravopt import (
     run_grid,
 )
 from gravopt.cli import main as cli_main
-from gravopt.engine import compute_masses, g_schedule, initialize, run, step
+from gravopt.engine import SwarmState, compute_masses, g_schedule, initialize, make_rng, run, step
 from gravopt.experiments import cell_config
 from gravopt.objectives import sphere
 
@@ -419,4 +419,42 @@ def test_criterion_11_original_acceleration_within_g():
         not violations and unchecked_steps == 0,
         f"largest |a_i|/G(t)={largest:.3f}; steps with a violation: {violations[:5]}; "
         f"steps with every agent clipped: {unchecked_steps}",
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="step divides a force carrying the agent's own mass by that mass, and "
+    "min-max masses give the worst agent mass 0, so it never accelerates",
+)
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("r", [1e-4, 1.0, 1e5])
+def test_criterion_11_two_body_velocity_follows_kernel(q, r):
+    # The best agent sits at the origin and the worst at distance r on
+    # the one axis. With deterministic weights, alpha = 0, G0 = 1 and
+    # epsilon = 0 the published GSA step gives the worst agent the
+    # velocity G * r**-q toward the best one. The velocity is read, not
+    # the position difference, which rounds near r = 1e5; the box is wide
+    # enough that no step is clipped.
+    config = GsaConfig(
+        population=2,
+        dims=1,
+        lower_bound=[-1e10],
+        upper_bound=[1e10],
+        kernel=KernelSpec(q, 0.0),
+        g0=1.0,
+        alpha=0.0,
+        max_iters=1,
+        deterministic_weights=True,
+    )
+    positions = np.array([[0.0], [r]])
+    state = SwarmState(positions=positions, velocities=np.zeros((2, 1)),
+                       fitnesses=sphere(positions), iteration=0, rng=make_rng(0))
+    velocity = float(step(state, config, sphere).velocities[1, 0])
+    expected = -(r ** -q)
+    _report(
+        f"criterion 11 (two-body): the worst agent's first velocity is -G*r**-q "
+        f"(q={q:g}, r={r:g})",
+        math.isclose(velocity, expected, rel_tol=1e-12),
+        f"velocity={velocity!r}, expected={expected!r}",
     )

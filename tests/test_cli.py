@@ -340,6 +340,15 @@ class TestConfigFile:
         ) == 0
 
 
+    def test_box_too_wide_for_float64_rejected(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(
+            {"dims": 2, "lower_bound": [-1e308, -1e308], "upper_bound": [1e308, 1e308]}
+        ))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "upper_bound - lower_bound" in capsys.readouterr().err
+
+
 class TestProbeCommand:
     def test_original_footer_slope_zero(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -361,6 +370,27 @@ class TestProbeCommand:
         out = tmp_path / "p.csv"
         assert cli.main(["probe", "--out", str(out)]) == 0
         assert len(read(out).splitlines()) == 1 + 25 + 1
+
+    @pytest.mark.parametrize("kernel, slope", [("original", 0.0), ("linear", -1.0),
+                                               ("square", -2.0)])
+    def test_large_g0_with_finite_forces(self, kernel, slope, tmp_path):
+        # every force is finite, though its square overflows at short range
+        out = tmp_path / "p.csv"
+        assert cli.main(["probe", "--kernel", kernel, "--g0", "1e160", "--out", str(out)]) == 0
+        assert probe_footer(out)["slope"] == pytest.approx(slope, abs=1e-3)
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["--g0", "1e300", "--kernel", "square"], 3,
+         "gravopt: numeric failure: force overflow; increase epsilon\n"),
+        (["--g0", "1e300"], 0, ""),
+        (["--kernel", "power:400"], 2,
+         "gravopt: error: zero force magnitude encountered during probe\n"),
+    ])
+    def test_overflow_prints_no_warning(self, argv, code, err, capsys):
+        # the self-pair's masked coefficient overflows at G = 1e300, and
+        # R**401 at long range; the suite turns a RuntimeWarning into an error
+        assert cli.main(["probe", *argv]) == code
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("g0", ["0", "-1", "nan", "inf"])
     def test_bad_g0_rejected(self, g0, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gravopt
-from gravopt import ConfigError, GsaConfig, KernelSpec, ProbeReport, RunTrace
+from gravopt import ConfigError, GsaConfig, KernelSpec, RunTrace
 
 
 def minimal_config(**overrides):
@@ -125,6 +125,7 @@ class TestValidateConfig:
             (dict(kbest_initial_fraction=1.5), "kbest"),
             (dict(seed=-1), "seed"),
             (dict(seed=2**64), "seed"),
+            (dict(lower_bound=[-1e308], upper_bound=[1e308]), "upper_bound - lower_bound"),
         ],
     )
     def test_each_invariant_named(self, overrides, fragment):
@@ -152,24 +153,6 @@ class TestRunTrace:
     def test_best_so_far_must_not_increase(self):
         good = make_trace([5.0, 4.0, 4.0])
         assert good.final_best == 4.0
-        with pytest.raises(ValueError, match="non-increasing"):
-            make_trace([4.0, 5.0])
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError, match="at least one entry"):
-            make_trace([])
-
-    @pytest.mark.parametrize("column", ["best_so_far", "population_best", "population_mean"])
-    def test_non_finite_column_rejected(self, column):
-        columns = {name: [2.0, 1.0] for name in
-                   ("best_so_far", "population_best", "population_mean")}
-        columns[column] = [2.0, math.inf]
-        with pytest.raises(ValueError, match=f"{column} must contain only finite"):
-            make_trace(**columns)
-
-    def test_unequal_column_lengths_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            make_trace([2.0, 1.0], population_mean=[3.0])
 
     def test_columns_are_read_only_float64(self):
         trace = make_trace([3, 2, 1])
@@ -183,31 +166,3 @@ def test_every_exported_name_resolves():
     for name in gravopt.__all__:
         assert getattr(gravopt, name) is not None
 
-
-class TestProbeReport:
-    def test_needs_two_distinct_distances(self):
-        with pytest.raises(ValueError, match="distinct"):
-            ProbeReport(
-                samples=((1.0, 2.0), (1.0, 2.0)),
-                fitted_slope=0.0,
-                fitted_intercept=0.0,
-                max_residual=0.0,
-            )
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            ProbeReport(
-                samples=((0.0, 1.0), (1.0, 1.0)),
-                fitted_slope=0.0,
-                fitted_intercept=0.0,
-                max_residual=0.0,
-            )
-
-    def test_rejects_non_finite_samples(self):
-        with pytest.raises(ValueError):
-            ProbeReport(
-                samples=((1.0, math.inf), (2.0, 1.0)),
-                fitted_slope=0.0,
-                fitted_intercept=0.0,
-                max_residual=0.0,
-            )

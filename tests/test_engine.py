@@ -72,14 +72,6 @@ class TestComputeMasses:
             after = np.argmax(compute_masses(np.arctan(fits)))
             assert before == after
 
-    def test_too_few_values(self):
-        with pytest.raises(ValueError):
-            compute_masses([1.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            compute_masses([1.0, math.nan])
-
 
 class TestGSchedule:
     def test_anchor_at_zero(self):
