@@ -27,8 +27,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import DEFAULT_EPSILON, KERNEL_CHOICES, KERNEL_NAMES, ConfigError, GsaConfig, KernelSpec
 from .engine import DivergenceError, EvaluationError, run
 from .experiments import (
@@ -41,7 +39,7 @@ from .experiments import (
     write_summary_csv,
     write_trace_csv,
 )
-from .kernels import DEFAULT_PROBE_DISTANCES, ForceOverflowError, probe_exponent
+from .kernels import ForceOverflowError, probe_exponent
 from .objectives import ObjectiveSpec, make_objective, objective_names
 
 EXIT_OK = 0
@@ -195,10 +193,9 @@ def _build_config(settings: dict) -> tuple[GsaConfig, ObjectiveSpec]:
     values = {field.name: settings[field.name] for field in fields(GsaConfig)}
     values["kernel"] = KernelSpec.named(settings["kernel"], settings["epsilon"])
     objective = make_objective(settings["function"], settings["dims"])
-    for key, edge in (("lower_bound", objective.default_lower),
-                      ("upper_bound", objective.default_upper)):
+    for key in ("lower_bound", "upper_bound"):
         if values[key] is None:
-            values[key] = np.full(objective.dims, edge)
+            values[key] = getattr(objective, key)
     return GsaConfig(**values), objective
 
 
@@ -225,10 +222,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_probe(args: argparse.Namespace) -> int:
     settings = _merged_settings(args)
     kernel = KernelSpec.named(settings["kernel"], settings["epsilon"])
-    grid = settings["probe_r_values"]
-    r_values = DEFAULT_PROBE_DISTANCES if grid is None else grid
     _check_output(args.out)
-    report = probe_exponent(kernel, settings["g0"], r_values)
+    report = probe_exponent(kernel, settings["g0"], settings["probe_r_values"])
     write_probe_csv(report, sys.stdout if args.out is None else args.out)
     return EXIT_OK
 
@@ -285,8 +280,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def execute(args: argparse.Namespace) -> int:
-    """Dispatch a parsed invocation, mapping failures to exit codes."""
+def main(argv=None) -> int:
+    """Parse and run one invocation, mapping failures to exit codes."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     try:
         return args.handler(args)
     except (ConfigError, ValueError) as exc:
@@ -303,17 +302,5 @@ def execute(args: argparse.Namespace) -> int:
         return EXIT_IO
 
 
-def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return execute(args)
-
-
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

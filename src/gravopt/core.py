@@ -162,23 +162,16 @@ class GsaConfig:
 class RunTrace:
     """Per-iteration summary of a completed run, stored as columns.
 
-    best_so_far, population_best and population_mean are read-only
-    float64 arrays of equal length; entry t belongs to iteration t + 1.
-    ``run`` fills them with finite values and keeps best_so_far
-    non-increasing.
+    best_so_far, population_best and population_mean are float64 arrays
+    of equal length; entry t belongs to iteration t + 1. ``run`` fills
+    them with finite values, keeps best_so_far non-increasing and hands
+    them over, with final_best_position, read-only.
     """
 
     best_so_far: np.ndarray
     population_best: np.ndarray
     population_mean: np.ndarray
     final_best_position: np.ndarray
-
-    def __post_init__(self):
-        for name in ("best_so_far", "population_best", "population_mean",
-                     "final_best_position"):
-            column = np.array(getattr(self, name), dtype=float)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
 
     @property
     def final_best(self) -> float:

@@ -103,7 +103,8 @@ def compute_masses(fitnesses: Sequence[float]) -> np.ndarray:
     worst = fits.max()
     if best == worst:
         return np.full(fits.size, 1.0 / fits.size)
-    raw = (worst - fits) / (worst - best)
+    # Halves, so worst - best stays finite for any finite fitnesses.
+    raw = (worst / 2 - fits / 2) / (worst / 2 - best / 2)
     return raw / raw.sum()
 
 
@@ -247,5 +248,7 @@ def run(config: GsaConfig, objective: Objective) -> RunTrace:
                 raise EvaluationError(
                     f"population mean fitness overflowed at iteration {state.iteration}"
                 )
+    for column in (best_so_far, population_best, population_mean, best_position):
+        column.flags.writeable = False
     return RunTrace(best_so_far=best_so_far, population_best=population_best,
                     population_mean=population_mean, final_best_position=best_position)

@@ -30,7 +30,7 @@ from . import kernels
 from .core import GsaConfig, KernelSpec, ProbeReport, RunTrace
 from .engine import RNG_NAME, DivergenceError, EvaluationError, run
 from .kernels import ForceOverflowError, usable_cores
-from .objectives import ObjectiveSpec, make_objective
+from .objectives import ObjectiveSpec
 
 RESULTS_HEADER = "kernel,objective,repetition,seed,final_best,iters,wall_seconds"
 SUMMARY_HEADER = "kernel,objective,median,mean,std,min,max"
@@ -97,32 +97,30 @@ def cell_config(plan: ExperimentPlan, kernel: KernelSpec, objective: ObjectiveSp
     the objective supplies dims and its default box; the seed is derived
     from the base config's seed and the cell.
     """
-    dims = objective.dims
     return replace(
         plan.base_config,
-        dims=dims,
-        lower_bound=np.full(dims, objective.default_lower),
-        upper_bound=np.full(dims, objective.default_upper),
+        dims=objective.dims,
+        lower_bound=objective.lower_bound,
+        upper_bound=objective.upper_bound,
         kernel=kernel,
         seed=derive_seed(plan.base_config.seed, kernel.name, objective.name, repetition),
     )
 
 
-def _run_cell(args: tuple[GsaConfig, str, int]) -> ResultRow:
-    config, objective_name, repetition = args
-    objective = make_objective(objective_name, config.dims)
+def _run_cell(args: tuple[GsaConfig, ObjectiveSpec, int]) -> ResultRow:
+    config, objective, repetition = args
     started = time.perf_counter()
     try:
         trace = run(config, objective.function)
     except (DivergenceError, EvaluationError, ForceOverflowError) as exc:
         raise type(exc)(
-            f"run failed for kernel={config.kernel.name} objective={objective_name} "
+            f"run failed for kernel={config.kernel.name} objective={objective.name} "
             f"repetition={repetition} seed={config.seed}: {exc}"
         ) from exc
     elapsed = time.perf_counter() - started
     return ResultRow(
         kernel=config.kernel.name,
-        objective=objective_name,
+        objective=objective.name,
         repetition=repetition,
         seed=config.seed,
         final_best=trace.final_best,
@@ -143,7 +141,7 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     if jobs < 0:
         raise ValueError(f"--jobs must be >= 0 (0 = one per usable core), got {jobs}")
     cells = [
-        (cell_config(plan, kernel, objective, rep), objective.name, rep)
+        (cell_config(plan, kernel, objective, rep), objective, rep)
         for objective in plan.objectives
         for kernel in plan.kernels
         for rep in range(plan.repetitions)

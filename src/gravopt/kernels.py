@@ -206,21 +206,22 @@ def forces(
 def probe_exponent(
     kernel: KernelSpec,
     g: float,
-    r_values: Sequence[float] = DEFAULT_PROBE_DISTANCES,
+    r_values: Sequence[float] | None = None,
 ) -> ProbeReport:
     """Empirically fit the kernel's force-magnitude distance exponent.
 
     Places one unit-mass agent at the origin and another at distance r on
-    one axis for every r in r_values (magnitudes are rotation-invariant,
-    so a 1-D swarm suffices), evaluates the force each of them feels from
-    the origin agent in one ``forces`` call, then fits log magnitude
-    against log distance by ordinary least squares. Each magnitude is |f|
-    of the pull's one component, so it is finite whenever the force is;
-    overflows that leave no non-finite force are silenced as in ``run``.
+    one axis for every r in r_values, ``DEFAULT_PROBE_DISTANCES`` when
+    None (magnitudes are rotation-invariant, so a 1-D swarm suffices),
+    evaluates the force each of them feels from the origin agent in one
+    ``forces`` call, then fits log magnitude against log distance by
+    ordinary least squares. Each magnitude is |f| of the pull's one
+    component, so it is finite whenever the force is; overflows that
+    leave no non-finite force are silenced as in ``run``.
     For an exact power law with epsilon = 0 the fitted slope is -q and the
     intercept ln G, to floating-point noise.
     """
-    rs = np.asarray(r_values, dtype=float)
+    rs = np.asarray(DEFAULT_PROBE_DISTANCES if r_values is None else r_values, dtype=float)
     if rs.ndim != 1 or np.unique(rs).size < 2:
         raise ValueError("r_values needs at least two distinct entries")
     if not np.all(np.isfinite(rs)) or np.any(rs <= 0.0):

@@ -2,7 +2,8 @@
 
 All four are minimized; the global optimum value is 0 (sphere, rastrigin
 and ackley at the origin, rosenbrock at the all-ones point). Each carries
-its customary symmetric box bounds and the fewest dims it is defined for:
+its customary symmetric box, as ``dims``-long ``lower_bound`` and
+``upper_bound`` vectors, and the fewest dims it is defined for:
 rosenbrock sums over consecutive coordinate pairs, so it needs two.
 
 Each function maps (..., d) -> (...) by reducing over the last axis, so
@@ -78,12 +79,12 @@ class ObjectiveSpec:
         return _REGISTRY[self.name][0]
 
     @property
-    def default_lower(self) -> float:
-        return -_REGISTRY[self.name][1]
+    def lower_bound(self) -> np.ndarray:
+        return np.full(self.dims, -_REGISTRY[self.name][1])
 
     @property
-    def default_upper(self) -> float:
-        return _REGISTRY[self.name][1]
+    def upper_bound(self) -> np.ndarray:
+        return np.full(self.dims, _REGISTRY[self.name][1])
 
 
 def make_objective(name: str, dims: int) -> ObjectiveSpec:

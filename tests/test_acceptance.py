@@ -458,3 +458,46 @@ def test_criterion_11_two_body_velocity_follows_kernel(q, r):
         math.isclose(velocity, expected, rel_tol=1e-12),
         f"velocity={velocity!r}, expected={expected!r}",
     )
+
+
+@pytest.mark.parametrize("q", [
+    pytest.param(0.0, marks=pytest.mark.xfail(
+        strict=True,
+        reason="min-max masses leave the worst agent frozen, so at alpha = 20 the "
+        "median final distance stays near 10 instead of following G(T)")),
+    1.0,
+])
+def test_criterion_12_final_distance_follows_schedule(q):
+    # G has the units length**(q+1) (criterion 10), and a swarm whose step
+    # G/rho**q matches its own radius rho settles where rho ~ G**(1/(q+1)):
+    # the final distance from sphere's optimum follows the schedule's end
+    # value G(T) = G0*exp(-alpha). q = 1's G0 is 100 * 0.0316 * D, with D
+    # the box diagonal, so both kernels start at a comparable step.
+    diagonal = 200.0 * math.sqrt(5.0)
+    g0 = 100.0 if q == 0.0 else 100.0 * 0.0316 * diagonal
+    objective = make_objective("sphere", 5)
+    alphas = (5.0, 10.0, 15.0, 20.0)
+    medians = []
+    for alpha in alphas:
+        distances = [
+            np.linalg.norm(run(GsaConfig(
+                population=20,
+                dims=5,
+                lower_bound=np.full(5, -100.0),
+                upper_bound=np.full(5, 100.0),
+                kernel=KernelSpec(q),
+                g0=g0,
+                alpha=alpha,
+                max_iters=300,
+                seed=seed,
+            ), objective.function).final_best_position)
+            for seed in range(5)
+        ]
+        medians.append(float(np.median(distances)))
+    g_end = [g_schedule(g0, alpha, 300, 300) for alpha in alphas]
+    slope = float(np.polyfit(np.log(g_end), np.log(medians), 1)[0])
+    _report(
+        f"criterion 12: the median final distance scales as G(T)**(1/(q+1)) (q={q:g})",
+        abs(slope - 1.0 / (q + 1.0)) <= 0.1,
+        f"log-log slope={slope:.3f}, law={1.0 / (q + 1.0):.3f}; medians={medians}",
+    )

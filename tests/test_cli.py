@@ -125,12 +125,17 @@ class TestParsing:
         assert cli.main([]) == 2
 
     def test_module_runs_its_command(self, tmp_path):
-        out = tmp_path / "p.csv"
         env = dict(os.environ, PYTHONPATH=str(Path(gravopt.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-m", "gravopt.cli", "probe", "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        out = tmp_path / "p.csv"
+        for argv, code in ((["--out", str(out)], 0), (["--kernel", "nope"], 2)):
+            done = subprocess.run([sys.executable, "-m", "gravopt.cli", "probe", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == code, done.stderr
         assert read(out).startswith("r,magnitude\n")
+        # the failing invocation's exit code and its one error line come through
+        assert done.stdout == ""
+        assert done.stderr.startswith("gravopt: error: unknown kernel 'nope'")
+        assert done.stderr.count("\n") == 1
 
     def test_bench_is_not_a_command(self, capsys):
         assert cli.main(["bench"]) == 2
@@ -209,6 +214,14 @@ class TestConfigFile:
         ) == 0
         lines = read(out).splitlines()
         assert len(lines) == 1 + 3 + 1  # header, three samples, footer
+
+    def test_empty_probe_grid_rejected(self, tmp_path, capsys):
+        # an empty list is a grid, not an unset one: no default distances
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"probe_r_values": []}))
+        assert cli.main(["probe", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "gravopt: error: r_values needs at least two distinct entries\n")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -155,8 +155,9 @@ class TestRunTrace:
         assert good.final_best == 4.0
 
     def test_columns_are_read_only_float64(self):
-        trace = make_trace([3, 2, 1])
-        for column in (trace.best_so_far, trace.population_best, trace.population_mean):
+        trace = gravopt.run(minimal_config(max_iters=3), lambda x: np.sum(x * x, axis=-1))
+        for column in (trace.best_so_far, trace.population_best, trace.population_mean,
+                       trace.final_best_position):
             assert column.dtype == np.float64
             with pytest.raises(ValueError):
                 column[0] = 0.0

@@ -64,6 +64,11 @@ class TestComputeMasses:
             compute_masses(transformed), compute_masses(fits), atol=1e-12
         )
 
+    def test_fitness_span_beyond_float64_gives_finite_masses(self):
+        # worst - best = 3.4e308 overflows; the halves' span does not
+        masses = compute_masses([1.7e308, -1.7e308, 0.0])
+        np.testing.assert_allclose(masses, [0.0, 2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
+
     def test_argmax_invariant_under_monotone_transform(self):
         rng = np.random.Generator(np.random.PCG64(42))
         for _ in range(50):
@@ -174,6 +179,18 @@ class TestInitialize:
         # the first of several bad agents
         with pytest.raises(EvaluationError, match=r"agent 1 at iteration 3,"):
             run(config, nan_from_step_3)
+
+    def test_fitness_span_beyond_float64_fails_on_the_mean(self):
+        # finite masses carry the step; the overflowing mean ends the run
+        config = make_config(population=4, dims=1, lower_bound=[-1.0], upper_bound=[1.0],
+                             seed=3, max_iters=5)
+
+        def extremes(x):
+            return np.where(x[:, 0] > 0, 1.7e308, -1.7e308)
+
+        with pytest.raises(EvaluationError,
+                           match="population mean fitness overflowed at iteration 1"):
+            run(config, extremes)
 
     @pytest.mark.parametrize(
         "wrong", [lambda x: np.sum(x * x), lambda x: sphere(x)[:, None], lambda x: sphere(x)[1:]]

@@ -8,7 +8,6 @@ Linux; regenerate them only in a change that is meant to alter results.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from gravopt import GsaConfig, KernelSpec, make_objective, run
@@ -84,8 +83,8 @@ def test_partial_kbest_trace_digest(tmp_path):
     config = GsaConfig(
         population=10,
         dims=4,
-        lower_bound=np.full(4, objective.default_lower),
-        upper_bound=np.full(4, objective.default_upper),
+        lower_bound=objective.lower_bound,
+        upper_bound=objective.upper_bound,
         kernel=KernelSpec(1.0),
         max_iters=50,
         kbest_initial_fraction=0.3,

@@ -86,8 +86,8 @@ class TestSpecAndEvaluate:
     @pytest.mark.parametrize("name,half", sorted(BOUNDS.items()))
     def test_default_bounds(self, name, half):
         spec = make_objective(name, 3)
-        assert spec.default_lower == -half
-        assert spec.default_upper == half
+        assert spec.lower_bound.tolist() == [-half] * 3
+        assert spec.upper_bound.tolist() == [half] * 3
 
     def test_case_insensitive_lookup(self):
         assert make_objective("SpHeRe", 2).name == "sphere"
