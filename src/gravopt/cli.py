@@ -6,12 +6,12 @@ setting once: its flag (which stores under the setting's key, so --pop
 sets "population"), default, help and the commands that read it. A
 config file's keys are exactly the settings keys, so "kernel" is a name
 such as "square" or "power:1.5" and "epsilon" a number beside it. A run
-reads every GsaConfig field plus "function". A config key the command
+reads every GsaConfig field but the tests' oracle mode
+``deterministic_weights``, plus "function". A config key the command
 does not read is rejected, and so is a value whose JSON type does not
 fit its default's: a count or seed needs an integral number, a float
 setting a number (never a JSON boolean), "kernel" and "function" a
-string, "deterministic_weights" true or false, and the bounds and probe
-grid a list of numbers.
+string, and the bounds and probe grid a list of numbers.
 
 Exit codes: 0 success, 2 usage error (a config too large for memory
 included), 3 numeric divergence or force overflow, 4 I/O failure (an
@@ -50,8 +50,8 @@ EXIT_IO = 4
 
 class Setting(NamedTuple):
     """A setting's flag (None: config file only), default, readers and help.
-    The flag parses the default's type; a False default makes it a switch.
-    A None default is a list of numbers the command works out when unset."""
+    The flag parses the default's type. A None default is a list of
+    numbers the command works out when unset."""
 
     flag: str | None
     default: object
@@ -73,9 +73,6 @@ SETTINGS = {
     "function": Setting("--function", "sphere", ("run",),
                         "objective: " + ", ".join(objective_names())),
     "repetitions": Setting("--reps", 25, ("compare",), "repetitions per cell"),
-    "deterministic_weights": Setting("--deterministic", False, _SEARCH,
-                                     "disable stochastic force/velocity weighting"),
-    "kbest_initial_fraction": Setting(None, 1.0, _SEARCH, "share of the agents in Kbest at first"),
     "lower_bound": Setting(None, None, ("run",), "lower box edges (default: the objective's)"),
     "upper_bound": Setting(None, None, ("run",), "upper box edges (default: the objective's)"),
     "probe_r_values": Setting(None, None, ("probe",), "probe distances (default: 25 up to 1e6)"),
@@ -123,12 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         for key, setting in SETTINGS.items():
             if setting.flag and command in setting.commands:
-                if isinstance(setting.default, bool):
-                    parse, shown = {"action": "store_true"}, "off"
-                else:
-                    parse, shown = {"type": type(setting.default)}, setting.default
-                p.add_argument(setting.flag, dest=key, default=argparse.SUPPRESS,
-                               help=f"{setting.help} (default: {shown})", **parse)
+                p.add_argument(setting.flag, dest=key, type=type(setting.default),
+                               default=argparse.SUPPRESS,
+                               help=f"{setting.help} (default: {setting.default})")
         for flag, options in outputs:
             p.add_argument(flag, **options)
         p.add_argument("--config", default=argparse.SUPPRESS,
@@ -150,8 +144,6 @@ def _check_type(key: str, value, default) -> None:
         expected = "a list of numbers"
     elif isinstance(default, str):
         fits, expected = isinstance(value, str), "a string"
-    elif isinstance(default, bool):
-        fits, expected = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
         fits = number(value) and (isinstance(value, int) or value.is_integer())
         expected = "an integer"
@@ -187,10 +179,12 @@ def _merged_settings(args: argparse.Namespace) -> dict:
 def _build_config(settings: dict) -> tuple[GsaConfig, ObjectiveSpec]:
     """The run config and its objective; unset bounds take the objective's box.
 
-    Every GsaConfig field is a settings key; the constructor normalizes
-    and checks the values.
+    Only the GsaConfig fields that are settings keys are filled; the
+    oracle mode ``deterministic_weights`` keeps its default. The
+    constructor normalizes and checks the values.
     """
-    values = {field.name: settings[field.name] for field in fields(GsaConfig)}
+    values = {field.name: settings[field.name] for field in fields(GsaConfig)
+              if field.name in settings}
     values["kernel"] = KernelSpec.named(settings["kernel"], settings["epsilon"])
     objective = make_objective(settings["function"], settings["dims"])
     for key in ("lower_bound", "upper_bound"):

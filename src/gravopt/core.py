@@ -118,7 +118,6 @@ class GsaConfig:
     g0: float = 100.0
     alpha: float = 20.0
     max_iters: int = 1000
-    kbest_initial_fraction: float = 1.0
     deterministic_weights: bool = False
     seed: int = 0
 
@@ -141,7 +140,7 @@ class GsaConfig:
                 raise ConfigError("upper_bound - lower_bound must be finite in float64")
         if not isinstance(self.kernel, KernelSpec):
             raise ValueError("kernel must be a KernelSpec")
-        for name in ("g0", "alpha", "kbest_initial_fraction"):
+        for name in ("g0", "alpha"):
             object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "deterministic_weights", bool(self.deterministic_weights))
@@ -152,8 +151,6 @@ class GsaConfig:
             raise ConfigError("alpha >= 0 required")
         if self.max_iters < 1:
             raise ConfigError("max_iters >= 1 required")
-        if not 0.0 < self.kbest_initial_fraction <= 1.0:
-            raise ConfigError("kbest_initial_fraction must lie in (0, 1]")
         if not 0 <= self.seed <= _UINT64_MAX:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 

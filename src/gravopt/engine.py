@@ -22,11 +22,15 @@ where the weight stays 1, so the stream is consumed in exactly the
 order above. With ``deterministic_weights`` set, no draws are consumed
 inside steps: every weight and velocity coefficient is exactly 1, and
 the step runs the same code with those coefficients, which makes
-single-step oracle comparisons exact.
+single-step oracle comparisons exact. It is an oracle mode for tests,
+set in Python only; the CLI always runs the stochastic search.
 
 Forces come from ``kernels.forces``, the one function that evaluates
 the force law: ``step`` calls it once per iteration with the Kbest
-members in ascending index order and the (n, k) weight matrix.
+members in ascending index order and the (n, k) weight matrix. As in
+the published GSA, Kbest holds the k best agents, with k falling
+linearly from the whole population at the first step to one at the
+last (``kbest_size``).
 
 An ``Objective`` evaluates the whole population at once: it maps an
 (n, d) array of positions, which it must not modify, to n fitness
@@ -113,21 +117,16 @@ def g_schedule(g0: float, alpha: float, t: int, max_iters: int) -> float:
     return g0 * math.exp(-alpha * t / max_iters)
 
 
-def kbest_size(t: int, max_iters: int, population: int, initial_fraction: float) -> int:
-    """Number of force-exerting agents at iteration t.
+def kbest_size(t: int, max_iters: int, population: int) -> int:
+    """Number of force-exerting agents at iteration 0 <= t < max_iters.
 
-    Decreases linearly from ceil(initial_fraction * population) at t = 0
-    to 1 at t = max_iters - 1, rounding half up; always within [1, n].
+    The published GSA schedule: decreases linearly from the whole
+    population at t = 0 to 1 at t = max_iters - 1, rounding half up.
     """
-    # The 1e-9 nudge keeps ceil() honest when fraction * n lands a few
-    # ulps above an exact integer (e.g. 0.2 * 50).
-    k0 = math.ceil(initial_fraction * population - 1e-9)
-    k0 = min(max(k0, 1), population)
     if max_iters <= 1:
-        return k0
+        return population
     span = t / (max_iters - 1)
-    k = math.floor(k0 + (1 - k0) * span + 0.5)
-    return min(max(k, 1), population)
+    return math.floor(population + (1 - population) * span + 0.5)
 
 
 def kbest_indices(fitnesses: np.ndarray, k: int) -> np.ndarray:
@@ -180,7 +179,7 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
     iteration = state.iteration + 1
     masses = compute_masses(state.fitnesses)
     g = g_schedule(config.g0, config.alpha, state.iteration, config.max_iters)
-    k = kbest_size(state.iteration, config.max_iters, n, config.kbest_initial_fraction)
+    k = kbest_size(state.iteration, config.max_iters, n)
     members = np.sort(kbest_indices(state.fitnesses, k))
 
     weights = np.ones((n, k))

@@ -295,8 +295,8 @@ def write_trace_csv(trace: RunTrace, config: GsaConfig, target) -> None:
         f"# kernel={config.kernel.name} epsilon={format_float(config.kernel.epsilon)}",
         f"# g0={format_float(config.g0)} alpha={format_float(config.alpha)}"
         f" max_iters={config.max_iters} population={config.population} dims={config.dims}",
-        f"# kbest_initial_fraction={format_float(config.kbest_initial_fraction)}"
-        f" deterministic_weights={det} seed={config.seed}",
+        # Kbest always starts with every agent: a constant, like the rng line
+        f"# kbest_initial_fraction=1.0 deterministic_weights={det} seed={config.seed}",
         TRACE_HEADER,
     ]
     columns = zip(

@@ -222,10 +222,10 @@ def probe_exponent(
     intercept ln G, to floating-point noise.
     """
     rs = np.asarray(DEFAULT_PROBE_DISTANCES if r_values is None else r_values, dtype=float)
-    if rs.ndim != 1 or np.unique(rs).size < 2:
-        raise ValueError("r_values needs at least two distinct entries")
     if not np.all(np.isfinite(rs)) or np.any(rs <= 0.0):
         raise ValueError("all probe distances must be finite and > 0")
+    if rs.ndim != 1 or rs.size < 2 or not rs.min() < rs.max():
+        raise ValueError("r_values needs at least two distinct entries")
     g = float(g)
     if not math.isfinite(g) or g <= 0.0:
         raise ValueError(f"G must be finite and > 0, got {g}")

@@ -265,7 +265,6 @@ def test_criterion_8_optimization_sanity():
         g0=100.0,
         alpha=20.0,
         max_iters=1000,
-        kbest_initial_fraction=1.0,
         deterministic_weights=False,
         seed=42,
     )

@@ -16,10 +16,10 @@ from gravopt import GsaConfig, cli, experiments
 # Each command's flags, in --help order.
 COMMAND_FLAGS = {
     "run": ["--kernel", "--epsilon", "--g0", "--alpha", "--pop", "--dims", "--iters",
-            "--seed", "--function", "--deterministic", "--trace", "--config"],
+            "--seed", "--function", "--trace", "--config"],
     "probe": ["--kernel", "--epsilon", "--g0", "--out", "--config"],
     "compare": ["--epsilon", "--g0", "--alpha", "--pop", "--dims", "--iters", "--seed",
-                "--reps", "--deterministic", "--out", "--no-timing", "--jobs", "--config"],
+                "--reps", "--out", "--no-timing", "--jobs", "--config"],
 }
 
 # The default each flag whose dest is a settings key prints in --help.
@@ -34,7 +34,6 @@ PRINTED_DEFAULTS = {
     "--seed": "42",
     "--function": "sphere",
     "--reps": "25",
-    "--deterministic": "off",
 }
 
 
@@ -57,7 +56,6 @@ OTHER_VALUES = {
     "seed": 7,
     "function": "rastrigin",
     "repetitions": 2,
-    "deterministic_weights": True,
 }
 
 
@@ -136,6 +134,13 @@ class TestParsing:
         assert done.stdout == ""
         assert done.stderr.startswith("gravopt: error: unknown kernel 'nope'")
         assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_deterministic_is_not_a_flag(self, command, tmp_path, capsys):
+        # deterministic weights are the tests' oracle mode, set in Python only
+        assert cli.main([command, "--deterministic", *small_argv(command, tmp_path)]) == 2
+        assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_bench_is_not_a_command(self, capsys):
         assert cli.main(["bench"]) == 2
@@ -223,6 +228,15 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             "gravopt: error: r_values needs at least two distinct entries\n")
 
+    @pytest.mark.parametrize("grid", ["[NaN, NaN]", "[1e400, 1e400]", "[Infinity, 1.0]"])
+    def test_non_finite_probe_grid_rejected(self, grid, tmp_path, capsys):
+        # checked before distinctness, which NaN and inf entries cannot show
+        config = tmp_path / "c.json"
+        config.write_text(f'{{"probe_r_values": {grid}}}')
+        assert cli.main(["probe", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "gravopt: error: all probe distances must be finite and > 0\n")
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"popsize": 10}))
@@ -248,10 +262,12 @@ class TestConfigFile:
         [(key, value)
          for key in ("population", "dims", "max_iters", "seed", "repetitions")
          for value in (4.9, "4", True, None)]
-        + [("deterministic_weights", value) for value in ("false", 0, None)]
-        + [(key, value)
-           for key in ("g0", "alpha", "kbest_initial_fraction")
-           for value in (True, False, "4", None)]
+        # a null, arrays and objects for scalars and a nested list, in two
+        # groups so that the index-named cases below keep their ids
+        + [("function", None), ("kernel", ["square"]), ("seed", {})]
+        + [(key, value) for key in ("g0", "alpha") for value in (True, False, "4", None)]
+        + [("population", [4]), ("epsilon", [1e-12]), ("probe_r_values", {"r": 1.0}),
+           ("lower_bound", [[-1.0], [-1.0]])]
         + [("lower_bound", [False, False]), ("upper_bound", [True, True]),
            ("probe_r_values", [True, 2.0, 3.0]), ("lower_bound", ["-1", "-1"]),
            ("upper_bound", 1.0), ("probe_r_values", None)]
@@ -268,10 +284,24 @@ class TestConfigFile:
         assert f"config key '{key}' must be" in capsys.readouterr().err
 
     def test_every_run_setting_is_a_config_key(self):
-        # a new GsaConfig field must be declared in SETTINGS, read by
-        # run, before a config file or flag can set it
-        run_keys = {key for key, setting in cli.SETTINGS.items() if "run" in setting.commands}
-        assert {field.name for field in fields(GsaConfig)} <= run_keys
+        # a new GsaConfig field must be declared in SETTINGS, read by run,
+        # or _build_config leaves it at its default; only the tests'
+        # oracle mode stays out of the CLI
+        names = {field.name for field in fields(GsaConfig)}
+        assert names - cli.SETTINGS.keys() == {"deterministic_weights"}
+        assert all("run" in cli.SETTINGS[name].commands
+                   for name in names - {"deterministic_weights"})
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("key, value", [("kbest_initial_fraction", 1.0),
+                                            ("deterministic_weights", True)])
+    def test_removed_key_rejected(self, command, key, value, tmp_path, capsys):
+        # Kbest always starts with every agent, and the oracle mode has no key
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        assert cli.main([command, "--config", str(config), *small_argv(command, tmp_path)]) == 2
+        assert f"{command} does not read config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
         "command, key",
@@ -301,9 +331,7 @@ class TestConfigFile:
     )
     def test_config_key_matches_flag(self, command, key, tmp_path):
         value = OTHER_VALUES[key]
-        flag = [cli.SETTINGS[key].flag]
-        if not isinstance(value, bool):
-            flag.append(str(value))
+        flag = [cli.SETTINGS[key].flag, str(value)]
         config = tmp_path / "c.json"
         config.write_text(json.dumps({key: value}))
         # "a" from the default, "b" from the flag, "c" from the config file
@@ -334,12 +362,12 @@ class TestConfigFile:
     def test_integral_values_keep_their_meaning(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps(
-            {"population": 5.0, "dims": 2, "max_iters": 2, "deterministic_weights": True}
+            {"population": 5.0, "dims": 2, "max_iters": 2, "seed": 3.0}
         ))
         trace = tmp_path / "t.csv"
         assert cli.main(["run", "--config", str(config), "--trace", str(trace)]) == 0
         text = read(trace)
-        assert "population=5 " in text and "deterministic_weights=true" in text
+        assert "population=5 " in text and "seed=3\n" in text
 
     def test_explicit_bounds_from_config(self, tmp_path):
         config = tmp_path / "c.json"
@@ -420,7 +448,7 @@ class TestProbeCommand:
 class TestRunCommand:
     def test_trace_files_byte_identical(self, tmp_path):
         args = ["run", "--function", "sphere", "--dims", "2", "--pop", "10",
-                "--iters", "5", "--seed", "1", "--deterministic"]
+                "--iters", "5", "--seed", "1"]
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(args + ["--trace", str(t1)]) == 0
         assert cli.main(args + ["--trace", str(t2)]) == 0

@@ -19,7 +19,6 @@ def minimal_config(**overrides):
         g0=100.0,
         alpha=20.0,
         max_iters=10,
-        kbest_initial_fraction=1.0,
         deterministic_weights=False,
         seed=7,
     )
@@ -121,8 +120,8 @@ class TestValidateConfig:
             (dict(g0=-1.0), "g0"),
             (dict(alpha=-0.1), "alpha"),
             (dict(max_iters=0), "max_iters"),
-            (dict(kbest_initial_fraction=0.0), "kbest"),
-            (dict(kbest_initial_fraction=1.5), "kbest"),
+            (dict(upper_bound=[1.0, 2.0]), "upper_bound length 2 != dims 1"),
+            (dict(lower_bound=[2.0]), "empty box"),
             (dict(seed=-1), "seed"),
             (dict(seed=2**64), "seed"),
             (dict(lower_bound=[-1e308], upper_bound=[1e308]), "upper_bound - lower_bound"),

