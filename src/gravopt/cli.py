@@ -6,12 +6,12 @@ setting once: its flag (which stores under the setting's key, so --pop
 sets "population"), default, help and the commands that read it. A
 config file's keys are exactly the settings keys, so "kernel" is a name
 such as "square" or "power:1.5" and "epsilon" a number beside it. A run
-reads every GsaConfig field but the tests' oracle mode
-``deterministic_weights``, plus "function". A config key the command
-does not read is rejected, and so is a value whose JSON type does not
-fit its default's: a count or seed needs an integral number, a float
-setting a number (never a JSON boolean), "kernel" and "function" a
-string, and the bounds and probe grid a list of numbers.
+reads every GsaConfig field, plus "function"; it always runs the
+published search, with every weight and coefficient drawn. A config
+key the command does not read is rejected, and so is a value whose
+JSON type does not fit its default's: a count or seed needs an integral
+number, a float setting a number (never a JSON boolean), "kernel" and
+"function" a string, and the bounds and probe grid a list of numbers.
 
 Exit codes: 0 success, 2 usage error (a config too large for memory
 included), 3 numeric divergence or force overflow, 4 I/O failure (an
@@ -179,12 +179,10 @@ def _merged_settings(args: argparse.Namespace) -> dict:
 def _build_config(settings: dict) -> tuple[GsaConfig, ObjectiveSpec]:
     """The run config and its objective; unset bounds take the objective's box.
 
-    Only the GsaConfig fields that are settings keys are filled; the
-    oracle mode ``deterministic_weights`` keeps its default. The
-    constructor normalizes and checks the values.
+    Every GsaConfig field is a settings key. The constructor normalizes
+    and checks the values.
     """
-    values = {field.name: settings[field.name] for field in fields(GsaConfig)
-              if field.name in settings}
+    values = {field.name: settings[field.name] for field in fields(GsaConfig)}
     values["kernel"] = KernelSpec.named(settings["kernel"], settings["epsilon"])
     objective = make_objective(settings["function"], settings["dims"])
     for key in ("lower_bound", "upper_bound"):

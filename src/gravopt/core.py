@@ -118,12 +118,14 @@ class GsaConfig:
     g0: float = 100.0
     alpha: float = 20.0
     max_iters: int = 1000
-    deterministic_weights: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "population", int(self.population))
-        object.__setattr__(self, "dims", int(self.dims))
+        for name in ("population", "dims", "max_iters", "seed"):
+            value = getattr(self, name)
+            if int(value) != value:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.population < 2:
             raise ConfigError("population >= 2 required")
         if self.dims < 1:
@@ -142,9 +144,6 @@ class GsaConfig:
             raise ValueError("kernel must be a KernelSpec")
         for name in ("g0", "alpha"):
             object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(self, "deterministic_weights", bool(self.deterministic_weights))
-        object.__setattr__(self, "seed", int(self.seed))
         if self.g0 <= 0.0:
             raise ConfigError("g0 > 0 required")
         if self.alpha < 0.0:

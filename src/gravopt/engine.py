@@ -10,7 +10,7 @@ for any number of cores ``kernels.forces`` spreads its rows over:
 
 1. ``initialize``: population * dims uniforms fill the positions
    row-major (agent index ascending, dimension ascending).
-2. each ``step``, when ``deterministic_weights`` is false:
+2. each ``step``:
    a. force weights: for each agent i in index order, one uniform per
       Kbest member j != i in ascending j order;
    b. velocity coefficients: population * dims uniforms, row-major.
@@ -19,11 +19,10 @@ Step 2a is one ``rng.random`` call per step for all n * k - k weights.
 They fill the (n, k) weight matrix row-major through an (n, k) mask
 that is false at each member's own entry, row members[c], column c,
 where the weight stays 1, so the stream is consumed in exactly the
-order above. With ``deterministic_weights`` set, no draws are consumed
-inside steps: every weight and velocity coefficient is exactly 1, and
-the step runs the same code with those coefficients, which makes
-single-step oracle comparisons exact. It is an oracle mode for tests,
-set in Python only; the CLI always runs the stochastic search.
+order above. As in the published GSA, every weight and velocity
+coefficient is a fresh uniform draw; there is no other search. ``step``
+draws only through ``state.rng.random``, so the tests stand in a
+generator whose every draw is 1 to compare steps and runs exactly.
 
 Forces come from ``kernels.forces``, the one function that evaluates
 the force law: ``step`` calls it once per iteration with the Kbest
@@ -183,10 +182,9 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
     members = np.sort(kbest_indices(state.fitnesses, k))
 
     weights = np.ones((n, k))
-    if not config.deterministic_weights:
-        drawn = np.ones((n, k), dtype=bool)
-        drawn[members, np.arange(k)] = False
-        weights[drawn] = state.rng.random(n * k - k)
+    drawn = np.ones((n, k), dtype=bool)
+    drawn[members, np.arange(k)] = False
+    weights[drawn] = state.rng.random(n * k - k)
 
     try:
         accel = forces(state.positions, masses, g, config.kernel, members, weights)
@@ -195,7 +193,7 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
                                  "increase epsilon") from None
     accel /= (masses + MASS_SOFTENING)[:, None]
 
-    velocities = np.ones((n, d)) if config.deterministic_weights else state.rng.random((n, d))
+    velocities = state.rng.random((n, d))
     velocities *= state.velocities
     velocities += accel
     raw = state.positions + velocities

@@ -26,10 +26,9 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
 from .core import GsaConfig, KernelSpec, ProbeReport, RunTrace
 from .engine import RNG_NAME, DivergenceError, EvaluationError, run
-from .kernels import ForceOverflowError, usable_cores
+from .kernels import ForceOverflowError, share_cores, usable_cores
 from .objectives import ObjectiveSpec
 
 RESULTS_HEADER = "kernel,objective,repetition,seed,final_best,iters,wall_seconds"
@@ -69,6 +68,8 @@ class ExperimentPlan:
     def __post_init__(self):
         object.__setattr__(self, "kernels", tuple(self.kernels))
         object.__setattr__(self, "objectives", tuple(self.objectives))
+        if int(self.repetitions) != self.repetitions:
+            raise ValueError(f"repetitions must be an integer, got {self.repetitions!r}")
         object.__setattr__(self, "repetitions", int(self.repetitions))
         if not self.kernels:
             raise ValueError("plan needs at least one kernel")
@@ -149,7 +150,7 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     workers = min(jobs or usable_cores(), len(cells))
     if workers <= 1:
         return [_run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers, initializer=kernels.share_cores,
+    with ProcessPoolExecutor(max_workers=workers, initializer=share_cores,
                              initargs=(workers,)) as pool:
         return list(pool.map(_run_cell, cells))
 
@@ -288,15 +289,15 @@ def write_summary_csv(summary: Summary, target) -> None:
 
 def write_trace_csv(trace: RunTrace, config: GsaConfig, target) -> None:
     """Trace CSV with '#' header lines recording the full run setup."""
-    det = "true" if config.deterministic_weights else "false"
     lines = [
         "# gravitational search trace",
         f"# rng={RNG_NAME}",
         f"# kernel={config.kernel.name} epsilon={format_float(config.kernel.epsilon)}",
         f"# g0={format_float(config.g0)} alpha={format_float(config.alpha)}"
         f" max_iters={config.max_iters} population={config.population} dims={config.dims}",
-        # Kbest always starts with every agent: a constant, like the rng line
-        f"# kbest_initial_fraction=1.0 deterministic_weights={det} seed={config.seed}",
+        # Kbest always starts with every agent and every weight is drawn:
+        # constants, like the rng line
+        f"# kbest_initial_fraction=1.0 deterministic_weights=false seed={config.seed}",
         TRACE_HEADER,
     ]
     columns = zip(

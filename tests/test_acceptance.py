@@ -9,6 +9,7 @@ import filecmp
 import itertools
 import math
 import time
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +24,7 @@ from gravopt import (
     run_grid,
 )
 from gravopt.cli import main as cli_main
-from gravopt.engine import SwarmState, compute_masses, g_schedule, initialize, make_rng, run, step
+from gravopt.engine import SwarmState, compute_masses, g_schedule, initialize, run, step
 from gravopt.experiments import cell_config
 from gravopt.objectives import sphere
 
@@ -265,7 +266,6 @@ def test_criterion_8_optimization_sanity():
         g0=100.0,
         alpha=20.0,
         max_iters=1000,
-        deterministic_weights=False,
         seed=42,
     )
     objective = make_objective("sphere", 30)
@@ -330,7 +330,7 @@ def test_criterion_9_kernel_comparison_reproduction(tmp_path, capsys):
     )
 
 
-def test_criterion_10_run_scaling_law():
+def test_criterion_10_run_scaling_law(unit_run):
     # Sphere is homogeneous of degree 2. Scaling the box by lam = 2**j and
     # G0 and epsilon by lam**(q+1) scales every force term's distance part
     # and its denominator alike, so the run is the same run, scaled;
@@ -346,10 +346,9 @@ def test_criterion_10_run_scaling_law():
             kernel=KernelSpec(q, epsilon * lam ** (q + 1)),
             g0=100.0 * lam ** (q + 1),
             max_iters=200,
-            deterministic_weights=deterministic,
             seed=seed,
         )
-        return run(config, objective.function)
+        return (unit_run if deterministic else run)(config, objective.function)
 
     failures, runs = [], 0
     cases = itertools.product((0.0, 1.0, 2.0, 1.5), (0.0, 1e-12), (False, True))
@@ -374,12 +373,12 @@ def test_criterion_10_run_scaling_law():
     )
 
 
-def test_criterion_11_original_acceleration_within_g():
+def test_criterion_11_original_acceleration_within_g(unit_draws):
     # Masses sum to 1 and weights are at most 1, so under the original
     # kernel every agent's acceleration is at most G(t) whatever the
-    # distances: the step length is set by the schedule. With
-    # deterministic weights v_{t+1} = v_t + a_t, so a_t is read off the
-    # step itself for every agent that no box edge clipped.
+    # distances: the step length is set by the schedule. With unit
+    # draws v_{t+1} = v_t + a_t, so a_t is read off the step itself for
+    # every agent that no box edge clipped.
     config = GsaConfig(
         population=50,
         dims=30,
@@ -389,11 +388,10 @@ def test_criterion_11_original_acceleration_within_g():
         g0=100.0,
         alpha=20.0,
         max_iters=1000,
-        deterministic_weights=True,
         seed=42,
     )
     objective = make_objective("sphere", 30).function
-    state = initialize(config, objective)
+    state = replace(initialize(config, objective), rng=unit_draws)
     largest, unchecked_steps, violations = 0.0, 0, []
     with np.errstate(over="ignore"):
         for t in range(config.max_iters):
@@ -428,9 +426,9 @@ def test_criterion_11_original_acceleration_within_g():
 )
 @pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
 @pytest.mark.parametrize("r", [1e-4, 1.0, 1e5])
-def test_criterion_11_two_body_velocity_follows_kernel(q, r):
+def test_criterion_11_two_body_velocity_follows_kernel(q, r, unit_draws):
     # The best agent sits at the origin and the worst at distance r on
-    # the one axis. With deterministic weights, alpha = 0, G0 = 1 and
+    # the one axis. With unit draws, alpha = 0, G0 = 1 and
     # epsilon = 0 the published GSA step gives the worst agent the
     # velocity G * r**-q toward the best one. The velocity is read, not
     # the position difference, which rounds near r = 1e5; the box is wide
@@ -444,11 +442,10 @@ def test_criterion_11_two_body_velocity_follows_kernel(q, r):
         g0=1.0,
         alpha=0.0,
         max_iters=1,
-        deterministic_weights=True,
     )
     positions = np.array([[0.0], [r]])
     state = SwarmState(positions=positions, velocities=np.zeros((2, 1)),
-                       fitnesses=sphere(positions), iteration=0, rng=make_rng(0))
+                       fitnesses=sphere(positions), iteration=0, rng=unit_draws)
     velocity = float(step(state, config, sphere).velocities[1, 0])
     expected = -(r ** -q)
     _report(

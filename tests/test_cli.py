@@ -137,7 +137,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_deterministic_is_not_a_flag(self, command, tmp_path, capsys):
-        # deterministic weights are the tests' oracle mode, set in Python only
+        # every weight and velocity coefficient is drawn; the tests' unit
+        # draws have no switch
         assert cli.main([command, "--deterministic", *small_argv(command, tmp_path)]) == 2
         assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
@@ -284,19 +285,17 @@ class TestConfigFile:
         assert f"config key '{key}' must be" in capsys.readouterr().err
 
     def test_every_run_setting_is_a_config_key(self):
-        # a new GsaConfig field must be declared in SETTINGS, read by run,
-        # or _build_config leaves it at its default; only the tests'
-        # oracle mode stays out of the CLI
+        # a new GsaConfig field must be declared in SETTINGS and read by
+        # run, or _build_config fails on it
         names = {field.name for field in fields(GsaConfig)}
-        assert names - cli.SETTINGS.keys() == {"deterministic_weights"}
-        assert all("run" in cli.SETTINGS[name].commands
-                   for name in names - {"deterministic_weights"})
+        assert names - cli.SETTINGS.keys() == set()
+        assert all("run" in cli.SETTINGS[name].commands for name in names)
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("key, value", [("kbest_initial_fraction", 1.0),
                                             ("deterministic_weights", True)])
     def test_removed_key_rejected(self, command, key, value, tmp_path, capsys):
-        # Kbest always starts with every agent, and the oracle mode has no key
+        # Kbest always starts with every agent, and every weight is drawn
         config = tmp_path / "c.json"
         config.write_text(json.dumps({key: value}))
         assert cli.main([command, "--config", str(config), *small_argv(command, tmp_path)]) == 2

@@ -19,7 +19,6 @@ def minimal_config(**overrides):
         g0=100.0,
         alpha=20.0,
         max_iters=10,
-        deterministic_weights=False,
         seed=7,
     )
     base.update(overrides)
@@ -130,6 +129,13 @@ class TestValidateConfig:
     def test_each_invariant_named(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
             minimal_config(**overrides)
+
+    @pytest.mark.parametrize("name, value", [("population", 5.9), ("dims", 1.5),
+                                             ("max_iters", 3.7), ("seed", 1.5)])
+    def test_non_integral_count_rejected(self, name, value):
+        # int() would truncate 5.9 agents to 5
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value}"):
+            minimal_config(**{name: value})
 
     def test_non_finite_rejected_at_construction(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import fields, replace
 
@@ -21,7 +22,6 @@ def make_config(**overrides):
         g0=100.0,
         alpha=20.0,
         max_iters=10,
-        deterministic_weights=False,
         seed=12345,
     )
     base.update(overrides)
@@ -214,7 +214,7 @@ class TestTotalForce:
     def test_two_agents_equals_pairwise(self):
         # min-max masses of two agents are (1, 0); nonzero masses keep the
         # pair force from vanishing
-        config = make_config(population=2, deterministic_weights=True)
+        config = make_config(population=2)
         positions = initialize(config, sphere).positions
         delta = positions[1] - positions[0]
         r = math.sqrt(float(np.dot(delta, delta)))
@@ -223,7 +223,7 @@ class TestTotalForce:
         np.testing.assert_allclose(f, [coeff * delta, -coeff * delta], rtol=1e-15, atol=0.0)
 
     def test_global_force_balance(self):
-        config = make_config(population=12, dims=3, deterministic_weights=True)
+        config = make_config(population=12, dims=3)
         state = initialize(config, sphere)
         masses = compute_masses(state.fitnesses)
         total = full_kbest_forces(state.positions, masses, config.g0, config.kernel).sum(axis=0)
@@ -238,7 +238,6 @@ class TestTotalForce:
                     make_config(
                         population=10,
                         dims=3,
-                        deterministic_weights=True,
                         kernel=kernel,
                         seed=int(rng.integers(0, 2**32)),
                     ),
@@ -289,8 +288,7 @@ def oracle_step(state, config):
     documented order, and leaves ``state`` untouched. Returns the clipped
     positions, the velocities and the copied generator.
     """
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state.rng.bit_generator.state
+    rng = copy.deepcopy(state.rng)
     n, d = state.positions.shape
     positions, fits = state.positions, state.fitnesses
     best, worst = fits.min(), fits.max()
@@ -316,7 +314,7 @@ def oracle_step(state, config):
         for j in members:
             if j == i:
                 continue
-            w = 1.0 if config.deterministic_weights else rng.random()
+            w = rng.random()
             delta = positions[j] - positions[i]
             r = math.sqrt(float(np.sum(delta * delta)))
             if r == 0.0:
@@ -328,7 +326,7 @@ def oracle_step(state, config):
     velocities = np.empty((n, d))
     for i in range(n):
         for c in range(d):
-            coeff = 1.0 if config.deterministic_weights else rng.random()
+            coeff = rng.random()
             v = coeff * state.velocities[i, c] + accel[i, c]
             moved = positions[i, c] + v
             clipped = min(max(moved, lower[c]), upper[c])
@@ -339,17 +337,18 @@ def oracle_step(state, config):
 
 class TestStep:
     def test_matches_scripted_oracle_stochastic(self):
-        config = make_config(population=5, dims=2, seed=77, deterministic_weights=False)
+        config = make_config(population=5, dims=2, seed=77)
         state = step(initialize(config, sphere), config, sphere)
         expected_pos, expected_vel, _ = oracle_step(oracle_initialize(config, sphere), config)
         np.testing.assert_allclose(state.positions, expected_pos, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(state.velocities, expected_vel, rtol=1e-12, atol=1e-12)
         assert state.iteration == 1
 
-    def test_matches_scripted_oracle_deterministic(self):
-        config = make_config(population=6, dims=3, seed=5, deterministic_weights=True)
-        state = step(initialize(config, sphere), config, sphere)
-        expected_pos, expected_vel, _ = oracle_step(oracle_initialize(config, sphere), config)
+    def test_matches_scripted_oracle_deterministic(self, unit_draws):
+        config = make_config(population=6, dims=3, seed=5)
+        state = step(replace(initialize(config, sphere), rng=unit_draws), config, sphere)
+        expected_pos, expected_vel, _ = oracle_step(
+            replace(oracle_initialize(config, sphere), rng=unit_draws), config)
         np.testing.assert_allclose(state.positions, expected_pos, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(state.velocities, expected_vel, rtol=1e-12, atol=1e-12)
 
@@ -365,7 +364,7 @@ class TestStep:
         alpha=st.sampled_from([0.0, 20.0]) | st.floats(0.0, 50.0),
     )
     def test_matches_scalar_oracle_from_any_state(
-        self, n, d, q, epsilon, deterministic, seed, g0, alpha
+        self, unit_draws, n, d, q, epsilon, deterministic, seed, g0, alpha
     ):
         config = make_config(
             population=n,
@@ -373,7 +372,6 @@ class TestStep:
             kernel=KernelSpec(q, epsilon),
             g0=g0,
             alpha=alpha,
-            deterministic_weights=deterministic,
             seed=seed,
         )
         rng = np.random.default_rng(seed)
@@ -392,14 +390,15 @@ class TestStep:
             velocities=velocities,
             fitnesses=sphere(positions),
             iteration=int(rng.integers(0, config.max_iters)),
-            rng=engine.make_rng(seed),
+            rng=unit_draws if deterministic else engine.make_rng(seed),
         )
         expected_pos, expected_vel, expected_rng = oracle_step(state, config)
         got = step(state, config, sphere)
         scale = max(1.0, float(np.max(np.abs(expected_vel))))
         np.testing.assert_allclose(got.positions, expected_pos, rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(got.velocities, expected_vel, rtol=1e-12, atol=1e-12 * scale)
-        assert got.rng.bit_generator.state == expected_rng.bit_generator.state
+        if not deterministic:
+            assert got.rng.bit_generator.state == expected_rng.bit_generator.state
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -443,7 +442,7 @@ class TestStep:
     def test_equilateral_triangle_symmetry(self):
         # equal masses at the vertices: forces point at the centroid and the
         # acceleration field preserves it
-        config = make_config(population=3, dims=2, deterministic_weights=True)
+        config = make_config(population=3, dims=2)
         positions = np.array(
             [[0.0, 1.0], [math.sqrt(3.0) / 2.0, -0.5], [-math.sqrt(3.0) / 2.0, -0.5]]
         )
@@ -461,11 +460,9 @@ class TestStep:
             accel_sum += force / (masses[i] + engine.MASS_SOFTENING)
         np.testing.assert_allclose(accel_sum, np.zeros(2), atol=1e-9)
 
-    def test_negligible_g_freezes_positions(self):
-        config = make_config(
-            population=6, dims=3, g0=1e-300, alpha=0.0, deterministic_weights=True
-        )
-        state = initialize(config, sphere)
+    def test_negligible_g_freezes_positions(self, unit_draws):
+        config = make_config(population=6, dims=3, g0=1e-300, alpha=0.0)
+        state = replace(initialize(config, sphere), rng=unit_draws)
         before = state.positions.copy()
         after = step(state, config, sphere)
         np.testing.assert_allclose(after.positions, before, rtol=0.0, atol=1e-12)
@@ -499,9 +496,12 @@ class TestStep:
             step(state, config, sphere)
 
     @pytest.mark.parametrize("deterministic", [False, True])
-    def test_nan_velocity_diverges(self, deterministic):
-        config = make_config(max_iters=10, deterministic_weights=deterministic)
-        state = step(initialize(config, sphere), config, sphere)
+    def test_nan_velocity_diverges(self, deterministic, unit_draws):
+        config = make_config(max_iters=10)
+        state = initialize(config, sphere)
+        if deterministic:
+            state = replace(state, rng=unit_draws)
+        state = step(state, config, sphere)
         velocities = state.velocities.copy()
         velocities[2, 1] = math.nan
         with pytest.raises(DivergenceError, match="at iteration 2;"):

@@ -122,6 +122,12 @@ class TestPlan:
         with pytest.raises(ValueError):
             small_plan(repetitions=0)
 
+    def test_rejects_non_integral_repetitions(self):
+        # int() would truncate 2.5 repetitions to 2
+        with pytest.raises(ValueError, match="repetitions must be an integer, got 2.5"):
+            small_plan(repetitions=2.5)
+        assert small_plan(repetitions=2.0).repetitions == 2
+
     def test_cell_config_uses_objective_box_and_derived_seed(self):
         plan = small_plan()
         kernel = plan.kernels[1]
