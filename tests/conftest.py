@@ -1,4 +1,8 @@
-"""The unit-coefficient oracle: a stand-in for the run generator.
+"""The test oracles: the force law coded by hand, and unit draws.
+
+``naive_forces`` is the one hand-coded force law that ``forces`` and the
+step are checked against; ``pair_forces`` and ``magnitude`` call
+``forces`` on two agents.
 
 ``step`` draws its force weights and velocity coefficients only through
 ``state.rng.random``. A generator whose every draw is 1 therefore runs
@@ -7,12 +11,42 @@ makes single-step and run-level comparisons exact. It is not a search:
 nothing damps the velocity.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import gravopt.engine as engine
+from gravopt import forces
 
 _seeded_rng = engine.make_rng
+
+
+def naive_forces(positions, masses, g, kernel, kbest, weights):
+    """``forces`` by a plain double loop over the kernel formula: row i sums
+    weights[i, c] * G * (m_i * m_j) / (R**(q+1) + epsilon) * (x_j - x_i)
+    over the members j = kbest[c], skipping j = i and coincident agents."""
+    q, eps = kernel.exponent, kernel.epsilon
+    total = np.zeros(positions.shape)
+    for i in range(len(positions)):
+        for c, j in enumerate(kbest):
+            delta = positions[j] - positions[i]
+            r = math.sqrt(float(np.sum(delta * delta)))
+            if j == i or r == 0.0:
+                continue
+            total[i] += weights[i, c] * g * (masses[i] * masses[j]) / (r ** (q + 1.0) + eps) * delta
+    return total
+
+
+def pair_forces(kernel, g, x_i, x_j, m_i=1.0, m_j=1.0):
+    """Row 0 is the force on i from j, row 1 the force on j from i."""
+    masses = np.array([m_i, m_j], dtype=float)
+    return forces(np.array([x_i, x_j], dtype=float), masses, g, kernel, np.arange(2), np.ones((2, 2)))
+
+
+def magnitude(kernel, g, x_i, x_j, m_i=1.0, m_j=1.0):
+    """Norm of the force on i from j."""
+    return float(np.linalg.norm(pair_forces(kernel, g, x_i, x_j, m_i, m_j)[0]))
 
 
 class UnitDraws:

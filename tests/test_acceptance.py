@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from conftest import magnitude, naive_forces, pair_forces
 
 from gravopt import (
     ExperimentPlan,
@@ -43,17 +44,6 @@ def _probe_footer(path) -> dict:
         key: float(value)
         for key, value in (item.split("=") for item in footer[2:].split(" "))
     }
-
-
-def _pair_forces(kernel, g, x_i, x_j, m_i, m_j):
-    """Row 0 is the force on i from j, row 1 the force on j from i."""
-    masses = np.array([m_i, m_j], dtype=float)
-    return forces(np.array([x_i, x_j], dtype=float), masses, g, kernel, np.arange(2), np.ones((2, 2)))
-
-
-def _magnitude(kernel, g, x_i, x_j, m_i, m_j):
-    """Norm of the force on i from j."""
-    return float(np.linalg.norm(_pair_forces(kernel, g, x_i, x_j, m_i, m_j)[0]))
 
 
 @lru_cache(maxsize=1)
@@ -118,7 +108,7 @@ def test_criterion_3_distance_free_magnitude_closed_form():
     worst = 0.0
     for x_i, x_j, m_i, m_j, g in _random_cases():
         expected = g * (m_i * m_j)
-        error = abs(_magnitude(kernel, g, x_i, x_j, m_i, m_j) - expected)
+        error = abs(magnitude(kernel, g, x_i, x_j, m_i, m_j) - expected)
         worst = max(worst, error / expected)
         if error > 1e-12 * expected:
             break
@@ -143,7 +133,7 @@ def test_criterion_4_antisymmetry_and_attraction():
     for x_i, x_j, m_i, m_j, g in _random_cases():
         delta = x_j - x_i
         for kernel in kernels:
-            f_ij, f_ji = _pair_forces(kernel, g, x_i, x_j, m_i, m_j)
+            f_ij, f_ji = pair_forces(kernel, g, x_i, x_j, m_i, m_j)
             if not np.array_equal(f_ij, -f_ji):
                 antisymmetric = False
             if float(np.dot(f_ij, delta)) < 0.0:
@@ -169,22 +159,11 @@ def test_criterion_5_brute_force_oracle_equivalence():
         fitnesses = rng.uniform(0.0, 100.0, 10)
         masses = compute_masses(fitnesses)
         g = float(10.0 ** rng.uniform(-1.0, 2.0))
-        for i, got in enumerate(forces(positions, masses, g, kernel, everyone, unit_weights)):
-            expected = np.zeros(3)
-            for j in range(10):
-                if j == i:
-                    continue
-                delta = positions[j] - positions[i]
-                r = math.sqrt(float(np.sum(delta * delta)))
-                if r == 0.0:
-                    continue
-                expected += g * (masses[i] * masses[j]) / (r + kernel.epsilon) * delta
-            scale = float(np.max(np.abs(expected)))
-            if scale == 0.0:
-                deviation = float(np.max(np.abs(got)))
-            else:
-                deviation = float(np.max(np.abs(got - expected))) / scale
-            worst = max(worst, deviation)
+        swarm = (positions, masses, g, kernel, everyone, unit_weights)
+        for got, expected in zip(forces(*swarm), naive_forces(*swarm)):
+            # a row the oracle gives as zero is gated absolutely
+            scale = float(np.max(np.abs(expected))) or 1.0
+            worst = max(worst, float(np.max(np.abs(got - expected))) / scale)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 1.0
     _report(
@@ -205,18 +184,18 @@ def test_criterion_6_scaling_law():
         m_i = 10.0 ** rng.uniform(-1.0, 1.0)
         m_j = 10.0 ** rng.uniform(-1.0, 1.0)
         base = {
-            q: _magnitude(KernelSpec(q, 0.0), 2.0, x_i, x_j, m_i, m_j)
+            q: magnitude(KernelSpec(q, 0.0), 2.0, x_i, x_j, m_i, m_j)
             for q in (0.0, 1.0, 2.0)
         }
         for lam in (0.01, 1.0, 100.0):
             scaled = (lam * x_i, lam * x_j, m_i, m_j)
-            mag0 = _magnitude(KernelSpec(0.0, 0.0), 2.0, *scaled)
+            mag0 = magnitude(KernelSpec(0.0, 0.0), 2.0, *scaled)
             dev0 = abs(mag0 / base[0.0] - 1.0)
             worst_original = max(worst_original, dev0)
             if dev0 > 1e-12:
                 ok = False
             for q in (1.0, 2.0):
-                mag = _magnitude(KernelSpec(q, 0.0), 2.0, *scaled)
+                mag = magnitude(KernelSpec(q, 0.0), 2.0, *scaled)
                 dev = abs(mag / (base[q] * lam ** (-q)) - 1.0)
                 worst_power = max(worst_power, dev)
                 if dev > 1e-9:
@@ -456,6 +435,23 @@ def test_criterion_11_two_body_velocity_follows_kernel(q, r, unit_draws):
     )
 
 
+def _schedule_config(q, alpha, seed):
+    """Criteria 12 and 13's sphere run: population 20, 5 dims, 300
+    iterations, box +/-100. q = 1's G0 is 100 * 0.0316 * D, with D the box
+    diagonal, so both kernels start at a comparable step."""
+    return GsaConfig(
+        population=20,
+        dims=5,
+        lower_bound=np.full(5, -100.0),
+        upper_bound=np.full(5, 100.0),
+        kernel=KernelSpec(q),
+        g0=100.0 if q == 0.0 else 100.0 * 0.0316 * (200.0 * math.sqrt(5.0)),
+        alpha=alpha,
+        max_iters=300,
+        seed=seed,
+    )
+
+
 @pytest.mark.parametrize("q", [
     pytest.param(0.0, marks=pytest.mark.xfail(
         strict=True,
@@ -467,33 +463,50 @@ def test_criterion_12_final_distance_follows_schedule(q):
     # G has the units length**(q+1) (criterion 10), and a swarm whose step
     # G/rho**q matches its own radius rho settles where rho ~ G**(1/(q+1)):
     # the final distance from sphere's optimum follows the schedule's end
-    # value G(T) = G0*exp(-alpha). q = 1's G0 is 100 * 0.0316 * D, with D
-    # the box diagonal, so both kernels start at a comparable step.
-    diagonal = 200.0 * math.sqrt(5.0)
-    g0 = 100.0 if q == 0.0 else 100.0 * 0.0316 * diagonal
-    objective = make_objective("sphere", 5)
+    # value G(T) = G0*exp(-alpha).
+    sphere_5d = make_objective("sphere", 5).function
     alphas = (5.0, 10.0, 15.0, 20.0)
-    medians = []
+    medians, g_end = [], []
     for alpha in alphas:
-        distances = [
-            np.linalg.norm(run(GsaConfig(
-                population=20,
-                dims=5,
-                lower_bound=np.full(5, -100.0),
-                upper_bound=np.full(5, 100.0),
-                kernel=KernelSpec(q),
-                g0=g0,
-                alpha=alpha,
-                max_iters=300,
-                seed=seed,
-            ), objective.function).final_best_position)
-            for seed in range(5)
-        ]
+        configs = [_schedule_config(q, alpha, seed) for seed in range(5)]
+        distances = [np.linalg.norm(run(config, sphere_5d).final_best_position)
+                     for config in configs]
         medians.append(float(np.median(distances)))
-    g_end = [g_schedule(g0, alpha, 300, 300) for alpha in alphas]
+        g_end.append(g_schedule(configs[0].g0, alpha, 300, 300))
     slope = float(np.polyfit(np.log(g_end), np.log(medians), 1)[0])
     _report(
         f"criterion 12: the median final distance scales as G(T)**(1/(q+1)) (q={q:g})",
         abs(slope - 1.0 / (q + 1.0)) <= 0.1,
         f"log-log slope={slope:.3f}, law={1.0 / (q + 1.0):.3f}; medians={medians}",
+    )
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_criterion_13_radius_follows_schedule(q):
+    # Criterion 12's law holds inside every run too: the swarm's radius
+    # rho(t), the median distance of the agents from their coordinate-wise
+    # median, follows G(t)**(1/(q+1)) at t = 30, 60, ..., 270, where G
+    # spans seven decades. The median centre ignores the worst agent,
+    # which min-max masses freeze (criterion 11's two-body case).
+    sphere_5d = make_objective("sphere", 5).function
+    times = range(30, 300, 30)
+    radii = []
+    for seed in range(5):
+        config = _schedule_config(q, 20.0, seed)
+        state = initialize(config, sphere_5d)
+        radius = []
+        with np.errstate(over="ignore"):
+            while state.iteration < times[-1]:
+                state = step(state, config, sphere_5d)
+                if state.iteration in times:
+                    centre = np.median(state.positions, axis=0)
+                    radius.append(np.median(np.linalg.norm(state.positions - centre, axis=1)))
+        radii.append(radius)
+    medians = np.median(radii, axis=0)
+    g = [g_schedule(config.g0, 20.0, t, 300) for t in times]
+    slope = float(np.polyfit(np.log(g), np.log(medians), 1)[0])
+    _report(
+        f"criterion 13: the swarm's median radius scales as G(t)**(1/(q+1)) (q={q:g})",
+        abs(slope - 1.0 / (q + 1.0)) <= 0.1,
+        f"log-log slope={slope:.3f}, law={1.0 / (q + 1.0):.3f}",
     )

@@ -7,7 +7,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import gravopt
@@ -522,15 +521,6 @@ class TestCompareCommand:
         assert lines[0] == "kernel,objective,repetition,seed,final_best,iters,wall_seconds"
         assert len(lines) == 1 + 3 * 4 * 2
         assert read(summary).splitlines()[0] == "kernel,objective,median,mean,std,min,max"
-
-    def test_serial_and_parallel_byte_identical(self, tmp_path):
-        base = ["compare", "--reps", "2", "--iters", "5", "--pop", "6",
-                "--dims", "2", "--no-timing"]
-        out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert cli.main(base + ["--out", str(out1), "--jobs", "1"]) == 0
-        assert cli.main(base + ["--out", str(out2), "--jobs", "2"]) == 0
-        assert read(out1) == read(out2)
-        assert read(tmp_path / "s_summary.csv") == read(tmp_path / "p_summary.csv")
 
     @pytest.mark.parametrize("key", ["lower_bound", "upper_bound"])
     def test_config_bounds_rejected(self, key, tmp_path, capsys):

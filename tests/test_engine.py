@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from conftest import naive_forces
 from hypothesis import given, settings, strategies as st
 
 import gravopt.engine as engine
@@ -204,68 +205,6 @@ class TestInitialize:
             initialize(make_config(), shifts_in_place)
 
 
-def full_kbest_forces(positions, masses, g, kernel):
-    """Forces on every agent from the whole swarm with unit weights."""
-    n = len(positions)
-    return forces(positions, masses, g, kernel, np.arange(n), np.ones((n, n)))
-
-
-class TestTotalForce:
-    def test_two_agents_equals_pairwise(self):
-        # min-max masses of two agents are (1, 0); nonzero masses keep the
-        # pair force from vanishing
-        config = make_config(population=2)
-        positions = initialize(config, sphere).positions
-        delta = positions[1] - positions[0]
-        r = math.sqrt(float(np.dot(delta, delta)))
-        coeff = config.g0 * (0.4 * 0.6) / (r + config.kernel.epsilon)
-        f = full_kbest_forces(positions, np.array([0.4, 0.6]), config.g0, config.kernel)
-        np.testing.assert_allclose(f, [coeff * delta, -coeff * delta], rtol=1e-15, atol=0.0)
-
-    def test_global_force_balance(self):
-        config = make_config(population=12, dims=3)
-        state = initialize(config, sphere)
-        masses = compute_masses(state.fitnesses)
-        total = full_kbest_forces(state.positions, masses, config.g0, config.kernel).sum(axis=0)
-        np.testing.assert_allclose(total, np.zeros(3), atol=1e-9)
-
-    def test_matches_naive_double_loop(self):
-        # independently coded oracle: plain double loop over the kernel formula
-        rng = np.random.Generator(np.random.PCG64(9))
-        for kernel in (KernelSpec(0.0), KernelSpec(2.0)):
-            for _ in range(20):
-                state = initialize(
-                    make_config(
-                        population=10,
-                        dims=3,
-                        kernel=kernel,
-                        seed=int(rng.integers(0, 2**32)),
-                    ),
-                    sphere,
-                )
-                masses = compute_masses(state.fitnesses)
-                got_forces = full_kbest_forces(state.positions, masses, 100.0, kernel)
-                for i, got in enumerate(got_forces):
-                    expected = np.zeros(3)
-                    for j in range(10):
-                        if j == i:
-                            continue
-                        delta = state.positions[j] - state.positions[i]
-                        r = math.sqrt(float(np.sum(delta * delta)))
-                        if r == 0.0:
-                            continue
-                        expected += (
-                            100.0
-                            * (masses[i] * masses[j])
-                            / (r ** (kernel.exponent + 1.0) + kernel.epsilon)
-                            * delta
-                        )
-                    scale = float(np.max(np.abs(expected))) or 1.0
-                    np.testing.assert_allclose(
-                        got, expected, rtol=1e-12, atol=1e-12 * scale
-                    )
-
-
 def oracle_initialize(config, objective):
     """Independent re-derivation of ``initialize`` from the stated rules."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -285,7 +224,9 @@ def oracle_step(state, config):
     Derives the min-max masses from the state's fitnesses and
     G = g0 * exp(-alpha * t / T) at the state's iteration t, draws one
     uniform at a time from a copy of the state's generator, in the
-    documented order, and leaves ``state`` untouched. Returns the clipped
+    documented order (the weights for i ascending and each member j != i,
+    then the velocity coefficients), takes the forces from
+    ``naive_forces`` and leaves ``state`` untouched. Returns the clipped
     positions, the velocities and the copied generator.
     """
     rng = copy.deepcopy(state.rng)
@@ -308,19 +249,13 @@ def oracle_step(state, config):
         k = min(max(math.floor(n + (1 - n) * span + 0.5), 1), n)
     members = sorted(sorted(range(n), key=lambda i: (state.fitnesses[i], i))[:k])
 
-    q, eps = config.kernel.exponent, config.kernel.epsilon
-    forces = np.zeros((n, d))
+    weights = np.zeros((n, k))
     for i in range(n):
-        for j in members:
-            if j == i:
-                continue
-            w = rng.random()
-            delta = positions[j] - positions[i]
-            r = math.sqrt(float(np.sum(delta * delta)))
-            if r == 0.0:
-                continue
-            forces[i] += w * g * (masses[i] * masses[j]) / (r ** (q + 1.0) + eps) * delta
-    accel = forces / (masses + 1e-12)[:, None]
+        for c, j in enumerate(members):
+            if j != i:
+                weights[i, c] = rng.random()
+    accel = naive_forces(positions, masses, g, config.kernel, members, weights)
+    accel /= (masses + 1e-12)[:, None]
 
     new_positions = np.empty((n, d))
     velocities = np.empty((n, d))
@@ -449,7 +384,8 @@ class TestStep:
         masses = compute_masses([1.0, 1.0, 1.0])
         centroid = positions.mean(axis=0)
         accel_sum = np.zeros(2)
-        for i, force in enumerate(full_kbest_forces(positions, masses, 1.0, config.kernel)):
+        for i, force in enumerate(forces(positions, masses, 1.0, config.kernel, np.arange(3),
+                                         np.ones((3, 3)))):
             to_centroid = centroid - positions[i]
             norm_f = np.linalg.norm(force)
             norm_c = np.linalg.norm(to_centroid)
