@@ -2,9 +2,9 @@
 
 All types here are plain values, immutable after construction. Vector
 fields are stored as read-only float64 numpy arrays. Only KernelSpec and
-GsaConfig check their inputs: they reject non-finite entries, and
-GsaConfig's constructor checks every run invariant (population size,
-bounds box, ...), raising ConfigError. RunTrace and ProbeReport carry
+GsaConfig check their inputs, raising ConfigError for the first bad one:
+they reject non-finite entries, and GsaConfig's constructor checks every
+run invariant (population size, bounds box, ...). RunTrace and ProbeReport carry
 what their one producer, ``run`` or ``probe_exponent``, guarantees.
 """
 
@@ -34,9 +34,9 @@ class ConfigError(ValueError):
 def _readonly_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"{name} must be a 1-D vector with at least one entry")
+        raise ConfigError(f"{name} must be a 1-D vector with at least one entry")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
+        raise ConfigError(f"{name} must contain only finite values")
     arr.flags.writeable = False
     return arr
 
@@ -44,7 +44,7 @@ def _readonly_vector(values, name: str) -> np.ndarray:
 def _finite_scalar(value, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ConfigError(f"{name} must be finite, got {value}")
     return value
 
 
@@ -68,9 +68,9 @@ class KernelSpec:
         exponent = _finite_scalar(self.exponent, "exponent")
         epsilon = _finite_scalar(self.epsilon, "epsilon")
         if exponent < 0.0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
+            raise ConfigError(f"exponent must be >= 0, got {exponent}")
         if epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+            raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "epsilon", epsilon)
 
@@ -141,7 +141,7 @@ class GsaConfig:
             if not np.all(np.isfinite(self.upper_bound - self.lower_bound)):
                 raise ConfigError("upper_bound - lower_bound must be finite in float64")
         if not isinstance(self.kernel, KernelSpec):
-            raise ValueError("kernel must be a KernelSpec")
+            raise ConfigError("kernel must be a KernelSpec")
         for name in ("g0", "alpha"):
             object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
         if self.g0 <= 0.0:

@@ -1,4 +1,5 @@
-"""The test oracles: the force law coded by hand, and unit draws.
+"""The test oracles: the force law coded by hand, and unit draws; and a
+counter of the thread parts ``forces`` splits into.
 
 ``naive_forces`` is the one hand-coded force law that ``forces`` and the
 step are checked against; ``pair_forces`` and ``magnitude`` call
@@ -12,11 +13,13 @@ nothing damps the velocity.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import gravopt.engine as engine
+import gravopt.kernels as kernels
 from gravopt import forces
 
 _seeded_rng = engine.make_rng
@@ -84,3 +87,50 @@ def unit_run():
             return engine.run(config, objective)
 
     return unit_run
+
+
+#: The futures of the pull tasks ``forces`` submitted to the pools that
+#: ``count_thread_parts`` made it start, and those pools. Each test's end
+#: shuts the pools down and clears both, so no test sees another test's
+#: threads. Module-level, so that a forked grid worker counts its own
+#: tasks in its copy of the list.
+thread_tasks = []
+recording_pools = []
+
+
+@pytest.fixture(autouse=True)
+def shut_down_recording_pools():
+    yield
+    while recording_pools:
+        recording_pools.pop().shutdown()
+    thread_tasks.clear()
+
+
+def count_thread_parts(monkeypatch, cores, worker_first=False, worker_delay=0.0):
+    """Set the usable core count and start from no force pool; return
+    ``thread_tasks``, the futures of the pull tasks ``forces`` submits to
+    the pool it starts from then on. With ``worker_first``
+    each submit returns only once its task has ended, so the pool's
+    threads take every block; with ``worker_delay`` each task waits that
+    many seconds before it takes its first block."""
+
+    class RecordingPool(kernels.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            recording_pools.append(self)
+
+        def submit(self, fn, *args):
+            def task():
+                time.sleep(worker_delay)
+                return fn(*args)
+
+            future = super().submit(task)
+            thread_tasks.append(future)
+            if worker_first:
+                kernels.futures.wait([future])
+            return future
+
+    monkeypatch.setattr(kernels, "usable_cores", lambda: cores)
+    monkeypatch.setattr(kernels, "_pool", None)
+    monkeypatch.setattr(kernels.futures, "ThreadPoolExecutor", RecordingPool)
+    return thread_tasks

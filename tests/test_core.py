@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gravopt
-from gravopt import ConfigError, GsaConfig, KernelSpec, RunTrace
+from gravopt import ConfigError, GsaConfig, KernelSpec
 
 
 def minimal_config(**overrides):
@@ -58,11 +58,6 @@ class TestKernelSpec:
             f"{message}; valid kernels: original, linear, square, power:<q>"
         )
 
-    @pytest.mark.parametrize("text", ["power:-1", "power:inf", "power:nan"])
-    def test_bad_power_value_rejected(self, text):
-        with pytest.raises(ValueError, match="exponent must be"):
-            KernelSpec.named(text, 0.0)
-
     @given(
         q=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
         eps=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -73,12 +68,12 @@ class TestKernelSpec:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12])
     def test_bad_epsilon_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="epsilon must be"):
             KernelSpec(0.0, epsilon=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
     def test_bad_exponent_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="exponent must be"):
             KernelSpec(bad)
 
     @given(
@@ -92,24 +87,9 @@ class TestKernelSpec:
 
 
 class TestValidateConfig:
-    def test_minimal_valid_config(self):
-        minimal_config()  # must not raise
-
-    def test_population_below_two(self):
-        with pytest.raises(ConfigError, match="population"):
-            minimal_config(population=1)
-
     def test_replace_checks_the_new_value(self):
         with pytest.raises(ConfigError, match="population >= 2"):
             replace(minimal_config(), population=1)
-
-    def test_empty_box(self):
-        with pytest.raises(ConfigError, match="empty box"):
-            minimal_config(lower_bound=[0.0], upper_bound=[0.0])
-
-    def test_bounds_length_mismatch(self):
-        with pytest.raises(ConfigError, match="lower_bound"):
-            minimal_config(lower_bound=[0.0, 0.0])
 
     @pytest.mark.parametrize(
         "overrides,fragment",
@@ -124,6 +104,12 @@ class TestValidateConfig:
             (dict(seed=-1), "seed"),
             (dict(seed=2**64), "seed"),
             (dict(lower_bound=[-1e308], upper_bound=[1e308]), "upper_bound - lower_bound"),
+            (dict(lower_bound=[0.0], upper_bound=[0.0]), "empty box"),
+            (dict(lower_bound=[0.0, 0.0]), "lower_bound length 2 != dims 1"),
+            (dict(g0=math.inf), "g0 must be finite"),
+            (dict(lower_bound=[math.nan]), "lower_bound must contain only finite values"),
+            (dict(lower_bound=[[-1.0]]), "lower_bound must be a 1-D vector"),
+            (dict(kernel="original"), "kernel must be a KernelSpec"),
         ],
     )
     def test_each_invariant_named(self, overrides, fragment):
@@ -137,28 +123,9 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value}"):
             minimal_config(**{name: value})
 
-    def test_non_finite_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            minimal_config(g0=math.inf)
-        with pytest.raises(ValueError):
-            minimal_config(lower_bound=[math.nan])
-
-
-def make_trace(best_so_far, population_best=None, population_mean=None):
-    n = len(best_so_far)
-    return RunTrace(
-        best_so_far=best_so_far,
-        population_best=best_so_far if population_best is None else population_best,
-        population_mean=np.full(n, 9.0) if population_mean is None else population_mean,
-        final_best_position=[0.0],
-    )
 
 
 class TestRunTrace:
-    def test_best_so_far_must_not_increase(self):
-        good = make_trace([5.0, 4.0, 4.0])
-        assert good.final_best == 4.0
-
     def test_columns_are_read_only_float64(self):
         trace = gravopt.run(minimal_config(max_iters=3), lambda x: np.sum(x * x, axis=-1))
         for column in (trace.best_so_far, trace.population_best, trace.population_mean,

@@ -2,13 +2,12 @@ import math
 import multiprocessing
 import sys
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import magnitude, naive_forces, pair_forces
+from conftest import count_thread_parts, magnitude, naive_forces, pair_forces
 from hypothesis import given, settings, strategies as st
 
 import gravopt.kernels as kernels
@@ -41,49 +40,6 @@ def coincident_member_swarm(dims):
     positions[5] = positions[3]
     masses = rng.random(10)
     return positions, masses, np.array([2, 3, 7]), rng.random((10, 3))
-
-
-#: Pools that ``count_thread_parts`` made ``forces`` start; each test's end
-#: shuts them down, so no test sees another test's threads.
-recording_pools = []
-
-
-@pytest.fixture(autouse=True)
-def shut_down_recording_pools():
-    yield
-    while recording_pools:
-        recording_pools.pop().shutdown()
-
-
-def count_thread_parts(monkeypatch, cores, worker_first=False, worker_delay=0.0):
-    """Set the usable core count and start from no force pool; return the
-    list of the futures of the pull tasks ``forces`` submits to the pool
-    it starts from then on. With ``worker_first`` each submit returns only
-    once its task has ended, so the pool's threads take every block; with
-    ``worker_delay`` each task waits that many seconds before it takes its
-    first block."""
-    submitted = []
-
-    class RecordingPool(kernels.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            recording_pools.append(self)
-
-        def submit(self, fn, *args):
-            def task():
-                time.sleep(worker_delay)
-                return fn(*args)
-
-            future = super().submit(task)
-            submitted.append(future)
-            if worker_first:
-                kernels.futures.wait([future])
-            return future
-
-    monkeypatch.setattr(kernels, "usable_cores", lambda: cores)
-    monkeypatch.setattr(kernels, "_pool", None)
-    monkeypatch.setattr(kernels.futures, "ThreadPoolExecutor", RecordingPool)
-    return submitted
 
 
 def split_in_fresh_child():
@@ -145,12 +101,6 @@ class TestPairwiseForce:
         assert f == pytest.approx([14.4, 19.2], rel=1e-15)
         assert magnitude(kernel, 2.0, [0.0, 0.0], [3.0, 4.0], 3.0, 4.0) == pytest.approx(24.0, rel=1e-13)
 
-    def test_original_magnitude_ignores_distance(self):
-        # same masses and G, ten times the separation: magnitude unchanged
-        kernel = KernelSpec(0.0, 0.0)
-        mag = magnitude(kernel, 2.0, [0.0, 0.0], [30.0, 40.0], 3.0, 4.0)
-        assert mag == pytest.approx(24.0, rel=1e-13)
-
     def test_unit_distance_coincidence(self):
         # 1**q = 1 for every q: all kernels agree at R = 1
         a = np.array([0.2, -0.3])
@@ -176,37 +126,7 @@ class TestPairwiseForce:
             pair_forces(kernel, 1.0, [0.0], [1e-150])
 
 
-class TestForceMagnitude:
-    def test_unit_masses_far_apart(self):
-        kernel = KernelSpec(0.0, 0.0)
-        mag = magnitude(kernel, 1.0, [0.0], [1e6])
-        assert mag == pytest.approx(1.0, rel=1e-13)
-
-    def test_coincident_agents(self):
-        for kernel in ALL_KERNELS_EPS0:
-            assert magnitude(kernel, 1.0, [1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_inverse_linear_hand_value(self):
-        # G*m_i*m_j/R with R = 4 -> 0.25
-        kernel = KernelSpec(1.0, 0.0)
-        mag = magnitude(kernel, 1.0, [0.0], [4.0])
-        assert mag == pytest.approx(0.25, rel=1e-14)
-
-
 class TestProbeExponent:
-    def test_original_slope_zero(self):
-        report = probe_exponent(
-            KernelSpec(0.0, 0.0), 1.0, [1e-3, 1.0, 1e3, 1e6]
-        )
-        assert abs(report.fitted_slope) < 1e-9
-        assert report.max_residual < 1e-9
-
-    def test_inverse_square_slope(self):
-        report = probe_exponent(
-            KernelSpec(2.0, 0.0), 1.0, [1e-3, 1.0, 1e3, 1e6]
-        )
-        assert report.fitted_slope == pytest.approx(-2.0, abs=1e-9)
-
     def test_fractional_exponent_matches_closed_form(self):
         g, q = 3.0, 1.5
         rs = np.geomspace(0.1, 1e4, 12)
@@ -272,28 +192,11 @@ class TestInvariants:
 
 
 class TestTotalForce:
-    """Forces from the whole swarm with unit weights, at the start of a
-    sphere run in the box +/-5 with seed 12345."""
-
-    @staticmethod
-    def start(population, dims):
-        box = np.full(dims, 5.0)
-        config = GsaConfig(population, dims, -box, box, KernelSpec(0.0), seed=12345)
-        return initialize(config, sphere)
-
-    def test_two_agents_equals_pairwise(self):
-        # min-max masses of two agents are (1, 0); nonzero masses keep the
-        # pair force from vanishing
-        kernel = KernelSpec(0.0)
-        x_i, x_j = self.start(2, 2).positions
-        delta = x_j - x_i
-        r = math.sqrt(float(np.dot(delta, delta)))
-        coeff = 100.0 * (0.4 * 0.6) / (r + kernel.epsilon)
-        f = pair_forces(kernel, 100.0, x_i, x_j, 0.4, 0.6)
-        np.testing.assert_allclose(f, [coeff * delta, -coeff * delta], rtol=1e-15, atol=0.0)
-
     def test_global_force_balance(self):
-        state = self.start(12, 3)
+        # forces from the whole swarm with unit weights, at the start of a
+        # sphere run in the box +/-5 with seed 12345
+        box = np.full(3, 5.0)
+        state = initialize(GsaConfig(12, 3, -box, box, KernelSpec(0.0), seed=12345), sphere)
         masses = compute_masses(state.fitnesses)
         total = forces(state.positions, masses, 100.0, KernelSpec(0.0), np.arange(12),
                        np.ones((12, 12))).sum(axis=0)
