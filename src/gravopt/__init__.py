@@ -7,22 +7,20 @@ inverse-linear and inverse-square laws, or any nonnegative power law.
 empirically; the experiments module runs seeded comparison grids.
 """
 
-from .core import ConfigError, GsaConfig, KernelSpec, ProbeReport, RunTrace
-from .engine import DivergenceError, EvaluationError, run
+from .core import ConfigError, GsaConfig, KernelSpec, NumericError, ProbeReport, RunTrace
+from .engine import run
 from .experiments import ExperimentPlan, run_grid, summarize
-from .kernels import ForceOverflowError, forces, probe_exponent
+from .kernels import forces, probe_exponent
 from .objectives import make_objective, objective_names
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "DivergenceError",
-    "EvaluationError",
     "ExperimentPlan",
-    "ForceOverflowError",
     "GsaConfig",
     "KernelSpec",
+    "NumericError",
     "ProbeReport",
     "RunTrace",
     "forces",

@@ -13,9 +13,9 @@ JSON type does not fit its default's: a count or seed needs an integral
 number, a float setting a number (never a JSON boolean), "kernel" and
 "function" a string, and the bounds and probe grid a list of numbers.
 
-Exit codes: 0 success, 2 usage error (a config too large for memory
-included), 3 numeric divergence or force overflow, 4 I/O failure (an
-output path that can take no file fails before anything is computed).
+Exit codes: 0 success, 2 usage error (a ConfigError or a MemoryError),
+3 numeric failure (a NumericError), 4 I/O failure (an output path that
+can take no file fails before anything is computed).
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import DEFAULT_EPSILON, KERNEL_CHOICES, KERNEL_NAMES, ConfigError, GsaConfig, KernelSpec
-from .engine import DivergenceError, EvaluationError, run
+from .core import (DEFAULT_EPSILON, KERNEL_CHOICES, KERNEL_NAMES, ConfigError, GsaConfig,
+                   KernelSpec, NumericError)
+from .engine import run
 from .experiments import (
     ExperimentPlan,
     format_float,
@@ -39,7 +40,7 @@ from .experiments import (
     write_summary_csv,
     write_trace_csv,
 )
-from .kernels import ForceOverflowError, probe_exponent
+from .kernels import probe_exponent
 from .objectives import ObjectiveSpec, make_objective, objective_names
 
 EXIT_OK = 0
@@ -156,7 +157,10 @@ def _check_type(key: str, value, default) -> None:
 def _load_config_file(path: str, command: str) -> dict:
     """The settings a JSON config file gives ``command``."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(str(exc)) from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
     for key, value in data.items():
@@ -280,13 +284,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"gravopt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
         print(f"gravopt: error: config too large for memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ForceOverflowError, DivergenceError, EvaluationError) as exc:
+    except NumericError as exc:
         print(f"gravopt: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

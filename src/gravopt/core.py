@@ -1,11 +1,11 @@
 """Shared value types: kernel selectors, run configuration, traces.
 
 All types here are plain values, immutable after construction. Vector
-fields are stored as read-only float64 numpy arrays. Only KernelSpec and
-GsaConfig check their inputs, raising ConfigError for the first bad one:
-they reject non-finite entries, and GsaConfig's constructor checks every
-run invariant (population size, bounds box, ...). RunTrace and ProbeReport carry
-what their one producer, ``run`` or ``probe_exponent``, guarantees.
+fields are stored as read-only float64 numpy arrays. Any bad input from
+outside the program raises ConfigError, and KernelSpec and GsaConfig
+check every invariant of theirs (population size, bounds box, ...); any
+non-finite force, motion or fitness raises NumericError. RunTrace and
+ProbeReport carry what ``run`` or ``probe_exponent`` guarantees.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ DEFAULT_EPSILON = 1e-12
 
 _UINT64_MAX = 2**64 - 1
 
+#: The most float64 values one numpy array can address; counts above fail.
+MAX_VALUES = np.iinfo(np.intp).max // 8
+
 #: The force laws with a name of their own, by distance exponent q; any
 #: other q >= 0 is named "power:<q>".
 KERNEL_NAMES = {"original": 0.0, "linear": 1.0, "square": 2.0}
@@ -28,7 +31,12 @@ KERNEL_CHOICES = ", ".join(KERNEL_NAMES) + ", power:<q>"
 
 
 class ConfigError(ValueError):
-    """A run configuration violates one of its invariants."""
+    """A setting or other input from outside the program is invalid."""
+
+
+class NumericError(ArithmeticError):
+    """The force law, the dynamics or the objective gave a non-finite value,
+    or the objective a wrongly shaped result."""
 
 
 def _readonly_vector(values, name: str) -> np.ndarray:
@@ -46,6 +54,18 @@ def _finite_scalar(value, name: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     return value
+
+
+def as_count(value, name: str, least: int, most: int = MAX_VALUES) -> int:
+    """``value`` as an int in [least, most]; a fractional one is refused,
+    never truncated."""
+    if int(value) != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} >= {least} required")
+    if value > most:
+        raise ConfigError(f"{name} <= {most} required")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -121,15 +141,12 @@ class GsaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population", "dims", "max_iters", "seed"):
-            value = getattr(self, name)
-            if int(value) != value:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.population < 2:
-            raise ConfigError("population >= 2 required")
-        if self.dims < 1:
-            raise ConfigError("dims >= 1 required")
+        for name, least, most in (("population", 2, MAX_VALUES), ("dims", 1, MAX_VALUES),
+                                  ("max_iters", 1, MAX_VALUES), ("seed", 0, _UINT64_MAX)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, least, most))
+        # the first step's (n, n) weight mask and the (n, d) positions
+        if self.population * max(self.population, self.dims) > MAX_VALUES:
+            raise ConfigError(f"population * max(population, dims) <= {MAX_VALUES} required")
         for name in ("lower_bound", "upper_bound"):
             bound = _readonly_vector(getattr(self, name), name)
             if bound.size != self.dims:
@@ -148,10 +165,6 @@ class GsaConfig:
             raise ConfigError("g0 > 0 required")
         if self.alpha < 0.0:
             raise ConfigError("alpha >= 0 required")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters >= 1 required")
-        if not 0 <= self.seed <= _UINT64_MAX:
-            raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)

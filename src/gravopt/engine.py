@@ -50,8 +50,8 @@ import numpy as np
 # depend on when its first run started.
 from numpy.random import PCG64, Generator
 
-from .core import GsaConfig, RunTrace
-from .kernels import ForceOverflowError, forces
+from .core import GsaConfig, NumericError, RunTrace
+from .kernels import forces
 
 #: Softening added to the acceleration denominator; the worst agent's
 #: mass is exactly zero under min-max scaling, so a = F / m needs it.
@@ -61,15 +61,6 @@ MASS_SOFTENING = 1e-12
 RNG_NAME = "numpy-pcg64"
 
 Objective = Callable[[np.ndarray], np.ndarray]
-
-
-class EvaluationError(RuntimeError):
-    """The objective returned a non-finite value or a wrongly shaped result,
-    or the mean fitness overflowed."""
-
-
-class DivergenceError(RuntimeError):
-    """The dynamics produced non-finite positions or velocities."""
 
 
 def make_rng(seed: int) -> Generator:
@@ -141,14 +132,14 @@ def _evaluate_population(
     view.flags.writeable = False
     fitnesses = np.array(objective(view), dtype=float)
     if fitnesses.shape != positions.shape[:1]:
-        raise EvaluationError(
+        raise NumericError(
             f"objective returned shape {fitnesses.shape} for {positions.shape[0]} agents "
             f"at iteration {iteration}; it must map (n, d) positions to (n,) values"
         )
     finite = np.isfinite(fitnesses)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise EvaluationError(
+        raise NumericError(
             f"objective returned non-finite value {float(fitnesses[i])} for agent {i} "
             f"at iteration {iteration}, position {positions[i].tolist()}"
         )
@@ -188,9 +179,9 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
 
     try:
         accel = forces(state.positions, masses, g, config.kernel, members, weights)
-    except ForceOverflowError:
-        raise ForceOverflowError(f"force overflow at iteration {iteration}; "
-                                 "increase epsilon") from None
+    except NumericError:
+        raise NumericError(f"force overflow at iteration {iteration}; "
+                           "increase epsilon") from None
     accel /= (masses + MASS_SOFTENING)[:, None]
 
     velocities = state.rng.random((n, d))
@@ -200,7 +191,7 @@ def step(state: SwarmState, config: GsaConfig, objective: Objective) -> SwarmSta
     # Positions are always finite, so raw is finite exactly when the
     # velocities are.
     if not np.isfinite(raw).all():
-        raise DivergenceError(
+        raise NumericError(
             f"dynamics diverged at iteration {iteration}; increase epsilon or reduce g0"
         )
     positions = np.minimum(np.maximum(raw, config.lower_bound), config.upper_bound)
@@ -216,11 +207,10 @@ def run(config: GsaConfig, objective: Objective) -> RunTrace:
 
     Only ``run`` tracks the best so far: the initial population's best
     agent, replaced by a step's best agent when that is strictly lower.
-    Bit-identical traces for identical (config, objective). Raises
-    EvaluationError when the population's mean fitness overflows.
-    Overflow warnings are silenced: every overflow that leaves a
-    non-finite value ends the run in ForceOverflowError, DivergenceError
-    or EvaluationError naming the iteration.
+    Bit-identical traces for identical (config, objective). Overflow
+    warnings are silenced: every overflow that leaves a non-finite force,
+    position, velocity, fitness or mean fitness ends the run in
+    NumericError naming the iteration.
     """
     best_so_far = np.empty(config.max_iters)
     population_best = np.empty(config.max_iters)
@@ -242,7 +232,7 @@ def run(config: GsaConfig, objective: Objective) -> RunTrace:
             best_so_far[t] = best_fitness
             population_mean[t] = state.fitnesses.mean()
             if not math.isfinite(population_mean[t]):
-                raise EvaluationError(
+                raise NumericError(
                     f"population mean fitness overflowed at iteration {state.iteration}"
                 )
     for column in (best_so_far, population_best, population_mean, best_position):

@@ -26,9 +26,9 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .core import GsaConfig, KernelSpec, ProbeReport, RunTrace
-from .engine import RNG_NAME, DivergenceError, EvaluationError, run
-from .kernels import ForceOverflowError, share_cores, usable_cores
+from .core import ConfigError, GsaConfig, KernelSpec, NumericError, ProbeReport, RunTrace, as_count
+from .engine import RNG_NAME, run
+from .kernels import share_cores, usable_cores
 from .objectives import ObjectiveSpec
 
 RESULTS_HEADER = "kernel,objective,repetition,seed,final_best,iters,wall_seconds"
@@ -68,15 +68,11 @@ class ExperimentPlan:
     def __post_init__(self):
         object.__setattr__(self, "kernels", tuple(self.kernels))
         object.__setattr__(self, "objectives", tuple(self.objectives))
-        if int(self.repetitions) != self.repetitions:
-            raise ValueError(f"repetitions must be an integer, got {self.repetitions!r}")
-        object.__setattr__(self, "repetitions", int(self.repetitions))
+        object.__setattr__(self, "repetitions", as_count(self.repetitions, "repetitions", 1))
         if not self.kernels:
-            raise ValueError("plan needs at least one kernel")
+            raise ConfigError("plan needs at least one kernel")
         if not self.objectives:
-            raise ValueError("plan needs at least one objective")
-        if self.repetitions < 1:
-            raise ValueError("repetitions >= 1 required")
+            raise ConfigError("plan needs at least one objective")
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,8 @@ def _run_cell(args: tuple[GsaConfig, ObjectiveSpec, int]) -> ResultRow:
     started = time.perf_counter()
     try:
         trace = run(config, objective.function)
-    except (DivergenceError, EvaluationError, ForceOverflowError) as exc:
-        raise type(exc)(
+    except NumericError as exc:
+        raise NumericError(
             f"run failed for kernel={config.kernel.name} objective={objective.name} "
             f"repetition={repetition} seed={config.seed}: {exc}"
         ) from exc
@@ -137,10 +133,10 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     cell, each worker splitting its force calls over its share of the
     usable cores; jobs = 0 means one worker per usable core. Row order
     and content (apart from wall_seconds) are identical to the serial
-    mode. A negative jobs raises ValueError.
+    mode. A negative jobs raises ConfigError.
     """
     if jobs < 0:
-        raise ValueError(f"--jobs must be >= 0 (0 = one per usable core), got {jobs}")
+        raise ConfigError(f"--jobs must be >= 0 (0 = one per usable core), got {jobs}")
     cells = [
         (cell_config(plan, kernel, objective, rep), objective, rep)
         for objective in plan.objectives

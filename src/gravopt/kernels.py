@@ -64,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import KernelSpec, ProbeReport
+from .core import ConfigError, KernelSpec, NumericError, ProbeReport
 
 #: Row-block budget of one ``forces`` call, in (agent, Kbest member,
 #: dimension) differences, shared by all its parts: 8 MiB of float64.
@@ -100,10 +100,6 @@ def _drop_pool() -> None:
 
 
 os.register_at_fork(after_in_child=_drop_pool)
-
-
-class ForceOverflowError(ArithmeticError):
-    """A force evaluation produced a non-finite component."""
 
 
 def usable_cores() -> int:
@@ -199,7 +195,7 @@ def forces(
         task.result()
     if not np.isfinite(total).all():
         # R below the underflow scale of R**(q+1) with epsilon = 0
-        raise ForceOverflowError("force overflow; increase epsilon")
+        raise NumericError("force overflow; increase epsilon")
     return total
 
 
@@ -223,12 +219,12 @@ def probe_exponent(
     """
     rs = np.asarray(DEFAULT_PROBE_DISTANCES if r_values is None else r_values, dtype=float)
     if not np.all(np.isfinite(rs)) or np.any(rs <= 0.0):
-        raise ValueError("all probe distances must be finite and > 0")
+        raise ConfigError("all probe distances must be finite and > 0")
     if rs.ndim != 1 or rs.size < 2 or not rs.min() < rs.max():
-        raise ValueError("r_values needs at least two distinct entries")
+        raise ConfigError("r_values needs at least two distinct entries")
     g = float(g)
     if not math.isfinite(g) or g <= 0.0:
-        raise ValueError(f"G must be finite and > 0, got {g}")
+        raise ConfigError(f"G must be finite and > 0, got {g}")
 
     # Agent 0 at the origin is the only force source; agent k sits at
     # distance rs[k-1] and feels the force from it.
@@ -239,7 +235,7 @@ def probe_exponent(
         pulls = forces(positions, np.ones(n), g, kernel, np.array([0]), np.ones((n, 1)))
     magnitudes = np.abs(pulls[1:, 0])
     if np.any(magnitudes == 0.0):
-        raise ValueError("zero force magnitude encountered during probe")
+        raise ConfigError("zero force magnitude encountered during probe")
 
     log_r = np.log(rs)
     log_m = np.log(magnitudes)

@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import ConfigError, as_count
+
 
 def sphere(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -66,13 +68,14 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         if self.name not in _REGISTRY:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown objective '{self.name}'; valid names: "
                 + ", ".join(objective_names())
             )
         fewest = _REGISTRY[self.name][2]
         if self.dims < fewest:
-            raise ValueError(f"objective '{self.name}' needs dims >= {fewest}, got {self.dims}")
+            raise ConfigError(f"objective '{self.name}' needs dims >= {fewest}, got {self.dims}")
+        object.__setattr__(self, "dims", as_count(self.dims, "dims", fewest))
 
     @property
     def function(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -89,4 +92,4 @@ class ObjectiveSpec:
 
 def make_objective(name: str, dims: int) -> ObjectiveSpec:
     """Look up a benchmark by name (case-insensitive) at the given dims."""
-    return ObjectiveSpec(name=str(name).strip().lower(), dims=int(dims))
+    return ObjectiveSpec(name=str(name).strip().lower(), dims=dims)

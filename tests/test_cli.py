@@ -128,7 +128,12 @@ class TestParsing:
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(
         "argv, message",
-        [(["--pop", "1"], "population >= 2"), (["--dims", "0"], "dims >= 1")],
+        [(["--pop", "1"], "population >= 2"), (["--dims", "0"], "dims >= 1"),
+         # past what numpy can address: refused before anything is allocated
+         (["--pop", str(2**62)], f"population <= {2**60 - 1} required"),
+         (["--dims", str(2**62)], f"dims <= {2**60 - 1} required"),
+         (["--iters", str(2**62)], f"max_iters <= {2**60 - 1} required"),
+         (["--dims", str(10**30)], f"dims <= {2**60 - 1} required")],
     )
     def test_invalid_size_rejected(self, command, argv, message, capsys):
         assert cli.main([command, *argv]) == 2
@@ -227,10 +232,11 @@ class TestConfigFile:
 
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "c.json"
-        for text, message in (("{not json", "Expecting property name"),
-                              ("[1, 2]", "config file must contain a JSON object\n"),
-                              ("3", "config file must contain a JSON object\n")):
-            config.write_text(text)
+        for text, message in ((b"{not json", "Expecting property name"),
+                              (b"[1, 2]", "config file must contain a JSON object\n"),
+                              (b"3", "config file must contain a JSON object\n"),
+                              (b"\xff", "'utf-8' codec can't decode")):
+            config.write_bytes(text)
             assert cli.main(["run", "--config", str(config)]) == 2
             assert capsys.readouterr().err.startswith(f"gravopt: error: {message}")
 
@@ -408,6 +414,15 @@ class TestRunCommand:
 
     def test_usage_error_on_bad_function(self):
         assert cli.main(["run", "--function", "griewank"]) == 2
+
+    def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # a bug's ValueError propagates; only ConfigError means a bad setting
+        def buggy(config, objective):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "run", buggy)
+        with pytest.raises(ValueError, match="bug"):
+            cli.main(["run", *small_argv("run", tmp_path)])
 
     def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # a stand-in for numpy's error: a real oversized allocation may

@@ -110,6 +110,8 @@ class TestValidateConfig:
             (dict(lower_bound=[math.nan]), "lower_bound must contain only finite values"),
             (dict(lower_bound=[[-1.0]]), "lower_bound must be a 1-D vector"),
             (dict(kernel="original"), "kernel must be a KernelSpec"),
+            # the first step's (n, n) weights would exceed what numpy can address
+            (dict(population=2**31), r"population \* max\(population, dims\) <= "),
         ],
     )
     def test_each_invariant_named(self, overrides, fragment):

@@ -8,7 +8,7 @@ from conftest import naive_forces
 from hypothesis import given, settings, strategies as st
 
 import gravopt.engine as engine
-from gravopt import DivergenceError, EvaluationError, GsaConfig, KernelSpec, forces, run
+from gravopt import GsaConfig, KernelSpec, NumericError, forces, run
 from gravopt.engine import compute_masses, g_schedule, initialize, kbest_size, step
 from gravopt.objectives import sphere
 
@@ -156,7 +156,7 @@ class TestInitialize:
         def bad(x):
             return np.where(x[:, 0] > 0, math.inf, 0.0)
 
-        with pytest.raises(EvaluationError, match="agent"):
+        with pytest.raises(NumericError, match="agent"):
             initialize(config, bad)
 
     def test_non_finite_objective_names_iteration(self):
@@ -173,7 +173,7 @@ class TestInitialize:
 
         # initialize and two steps evaluate cleanly; in step 3 agent 1 is
         # the first of several bad agents
-        with pytest.raises(EvaluationError, match=r"agent 1 at iteration 3,"):
+        with pytest.raises(NumericError, match=r"agent 1 at iteration 3,"):
             run(config, nan_from_step_3)
 
     def test_fitness_span_beyond_float64_fails_on_the_mean(self):
@@ -184,7 +184,7 @@ class TestInitialize:
         def extremes(x):
             return np.where(x[:, 0] > 0, 1.7e308, -1.7e308)
 
-        with pytest.raises(EvaluationError,
+        with pytest.raises(NumericError,
                            match="population mean fitness overflowed at iteration 1"):
             run(config, extremes)
 
@@ -193,7 +193,7 @@ class TestInitialize:
     )
     def test_wrongly_shaped_objective_rejected(self, wrong):
         # a scalar or an (n, 1) column would broadcast into n fitnesses
-        with pytest.raises(EvaluationError, match=r"returned shape .* for 5 agents"):
+        with pytest.raises(NumericError, match=r"returned shape .* for 5 agents"):
             initialize(make_config(population=5), wrong)
 
     def test_objective_cannot_modify_positions(self):
@@ -415,7 +415,7 @@ class TestStep:
         for value in (math.inf, math.nan):
             monkeypatch.setattr(engine, "forces",
                                 lambda positions, *_: np.full_like(positions, value))
-            with pytest.raises(DivergenceError, match="at iteration 2;"):
+            with pytest.raises(NumericError, match="at iteration 2;"):
                 step(state, config, sphere)
 
     @pytest.mark.parametrize("deterministic", [False, True])
@@ -427,7 +427,7 @@ class TestStep:
         state = step(state, config, sphere)
         velocities = state.velocities.copy()
         velocities[2, 1] = math.nan
-        with pytest.raises(DivergenceError, match="at iteration 2;"):
+        with pytest.raises(NumericError, match="at iteration 2;"):
             step(replace(state, velocities=velocities), config, sphere)
 
     def test_mass_normalization_every_step(self, monkeypatch):

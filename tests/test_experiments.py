@@ -7,6 +7,7 @@ import pytest
 from conftest import count_thread_parts, thread_tasks
 
 from gravopt import (
+    ConfigError,
     ExperimentPlan,
     GsaConfig,
     KernelSpec,
@@ -100,16 +101,16 @@ class TestSeedDerivation:
 
 class TestPlan:
     def test_rejects_empty_lists(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="plan needs at least one kernel"):
             small_plan(kernels=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="plan needs at least one objective"):
             small_plan(objectives=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="repetitions >= 1 required"):
             small_plan(repetitions=0)
 
     def test_rejects_non_integral_repetitions(self):
         # int() would truncate 2.5 repetitions to 2
-        with pytest.raises(ValueError, match="repetitions must be an integer, got 2.5"):
+        with pytest.raises(ConfigError, match="repetitions must be an integer, got 2.5"):
             small_plan(repetitions=2.5)
         assert small_plan(repetitions=2.0).repetitions == 2
 
@@ -175,8 +176,8 @@ class TestRunGrid:
         assert serial_pool == [3, 8]
 
     def test_negative_jobs_rejected(self):
-        with pytest.raises(ValueError, match=r"--jobs must be >= 0 \(0 = one per usable core\), "
-                                             "got -1"):
+        with pytest.raises(ConfigError,
+                           match=r"--jobs must be >= 0 \(0 = one per usable core\), got -1"):
             run_grid(small_plan(), jobs=-1)
 
     def test_pool_workers_split_forces_over_their_share_of_cores(self, monkeypatch):

@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import gravopt.kernels as kernels
 from gravopt import (
+    ConfigError,
     ExperimentPlan,
-    ForceOverflowError,
     GsaConfig,
     KernelSpec,
+    NumericError,
     forces,
     make_objective,
     probe_exponent,
@@ -122,7 +123,7 @@ class TestPairwiseForce:
         # R**3 underflows to zero for R = 1e-150, epsilon = 0 (any smaller
         # R underflows inside the norm itself and hits the coincident rule)
         kernel = KernelSpec(2.0, 0.0)
-        with pytest.raises(ForceOverflowError, match="increase epsilon"):
+        with pytest.raises(NumericError, match="increase epsilon"):
             pair_forces(kernel, 1.0, [0.0], [1e-150])
 
 
@@ -141,11 +142,11 @@ class TestProbeExponent:
         assert report.fitted_intercept == pytest.approx(math.log(100.0), abs=1e-12)
 
     def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="all probe distances must be finite and > 0"):
             probe_exponent(KernelSpec(0.0, 0.0), 1.0, [0.0, 1.0])
 
     def test_needs_two_distinct_distances(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="r_values needs at least two distinct entries"):
             probe_exponent(KernelSpec(0.0, 0.0), 1.0, [2.0, 2.0])
 
 

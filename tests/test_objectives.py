@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gravopt import make_objective, objective_names
+from gravopt import ConfigError, make_objective, objective_names
 from gravopt.objectives import ObjectiveSpec, ackley, rastrigin, rosenbrock, sphere
 
 BOUNDS = {"sphere": 100.0, "rastrigin": 5.12, "rosenbrock": 30.0, "ackley": 32.0}
@@ -94,18 +94,21 @@ class TestSpecAndEvaluate:
         assert make_objective(" ACKLEY ", 2).name == "ackley"
 
     def test_unknown_name_lists_valid(self):
-        with pytest.raises(ValueError, match="sphere"):
+        with pytest.raises(ConfigError, match="sphere"):
             make_objective("griewank", 2)
 
     def test_bad_spec_construction(self):
-        with pytest.raises(ValueError):
-            ObjectiveSpec(name="nope", dims=2)
-        with pytest.raises(ValueError):
-            ObjectiveSpec(name="sphere", dims=0)
+        # int() would truncate 2.5 dims to 2
+        for name, dims, message in (("nope", 2, "unknown objective 'nope'"),
+                                    ("sphere", 0, "'sphere' needs dims >= 1, got 0"),
+                                    ("sphere", 2.5, "dims must be an integer, got 2.5")):
+            for make in (ObjectiveSpec, make_objective):
+                with pytest.raises(ConfigError, match=message):
+                    make(name, dims)
 
     def test_rosenbrock_needs_two_dims(self):
         # one coordinate has no consecutive pair, so the sum is identically 0
-        with pytest.raises(ValueError, match=r"'rosenbrock' needs dims >= 2, got 1"):
+        with pytest.raises(ConfigError, match=r"'rosenbrock' needs dims >= 2, got 1"):
             make_objective("rosenbrock", 1)
         assert make_objective("rosenbrock", 2).dims == 2
 
