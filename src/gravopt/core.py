@@ -36,11 +36,20 @@ class ConfigError(ValueError):
 
 class NumericError(ArithmeticError):
     """The force law, the dynamics or the objective gave a non-finite value,
-    or the objective a wrongly shaped result."""
+    the probe a zero force, or the objective a wrongly shaped result."""
+
+
+def as_numeric(value, name: str, vector: bool = False):
+    """``value`` as a float, or as a float64 array if ``vector``; a value
+    that does not convert is refused."""
+    try:
+        return np.array(value, dtype=float) if vector else float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be numeric, got {value!r}") from None
 
 
 def _readonly_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = as_numeric(values, name, vector=True)
     if arr.ndim != 1 or arr.size < 1:
         raise ConfigError(f"{name} must be a 1-D vector with at least one entry")
     if not np.all(np.isfinite(arr)):
@@ -50,16 +59,20 @@ def _readonly_vector(values, name: str) -> np.ndarray:
 
 
 def _finite_scalar(value, name: str) -> float:
-    value = float(value)
+    value = as_numeric(value, name)
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     return value
 
 
-def as_count(value, name: str, least: int, most: int = MAX_VALUES) -> int:
-    """``value`` as an int in [least, most]; a fractional one is refused,
-    never truncated."""
-    if int(value) != value:
+def as_count(value, name: str, least: float, most: int = MAX_VALUES) -> int:
+    """``value`` as an int in [least, most]; a fractional, non-finite or
+    non-numeric one is refused, never truncated."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} >= {least} required")

@@ -44,18 +44,17 @@ so a part that starts late or runs slow takes fewer. numpy releases the
 interpreter lock inside its array calls, so the parts run in parallel.
 Each part writes through its own buffer into one output, all allocated
 by the calling thread, since buffers made on worker threads land in
-per-thread heaps and raise peak memory. The tasks run in copies of the
-caller's context, which carries its errstate. A call returns, or raises,
-only once every task it started has ended. A forked child inherits none
-of the pool's threads, so it drops the pool and starts its own. Every
-row goes through the same arithmetic whatever the blocks and parts, so
-the result is the same bit for bit; a small call, such as every step of
-a 50-agent run, is one part and uses no thread.
+per-thread heaps and raise peak memory. Each part ignores floating-point
+errors under its own errstate, whatever the caller's. A call returns, or
+raises, only once every task it started has ended. A forked child
+inherits none of the pool's threads, so it drops the pool and starts its
+own. Every row goes through the same arithmetic whatever the blocks and
+parts, so the result is the same bit for bit; a small call, such as
+every step of a 50-agent run, is one part and uses no thread.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import threading
@@ -64,7 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, KernelSpec, NumericError, ProbeReport
+from .core import ConfigError, KernelSpec, NumericError, ProbeReport, as_numeric
 
 #: Row-block budget of one ``forces`` call, in (agent, Kbest member,
 #: dimension) differences, shared by all its parts: 8 MiB of float64.
@@ -139,7 +138,8 @@ def forces(
     zero-mass pairs exert no force on each other; the pairwise terms are
     exactly antisymmetric and always point from i toward j. The rows run
     in row blocks and parts as the module docstring describes, with
-    bit-identical results. Callers validate their inputs.
+    bit-identical results, and warn of no floating-point error; a
+    non-finite total raises NumericError. Callers validate their inputs.
     """
     sources = positions[kbest]
     source_masses = masses[kbest]
@@ -156,32 +156,31 @@ def forces(
     def accumulate(buffer: np.ndarray) -> None:
         """Write into ``total`` the forces on the blocks this part takes,
         one at a time through ``buffer`` (see the module docstring)."""
-        while True:
-            with starts_lock:
-                start = next(starts, None)
-            if start is None:
-                return
-            stop = min(start + rows, n)
-            diff = buffer[: stop - start]
-            # diff[i, c] = x_kbest[c] - x_i: fill every row with x_i, then
-            # subtract it from the sources over contiguous runs of k * d.
-            np.copyto(diff, positions[start:stop, None, :])
-            np.subtract(sources, diff, out=diff)
-            r = np.einsum("icd,icd->ic", diff, diff)
-            np.sqrt(r, out=r)
-            # Grouping the mass product makes it exactly symmetric, so
-            # pairwise forces are exactly antisymmetric.
-            num = masses[start:stop, None] * source_masses
-            num *= g
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
+            while True:
+                with starts_lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                stop = min(start + rows, n)
+                diff = buffer[: stop - start]
+                # diff[i, c] = x_kbest[c] - x_i: fill every row with x_i, then
+                # subtract it from the sources over contiguous runs of k * d.
+                np.copyto(diff, positions[start:stop, None, :])
+                np.subtract(sources, diff, out=diff)
+                r = np.einsum("icd,icd->ic", diff, diff)
+                np.sqrt(r, out=r)
+                # Grouping the mass product makes it exactly symmetric, so
+                # pairwise forces are exactly antisymmetric.
+                num = masses[start:stop, None] * source_masses
+                num *= g
                 coeff = num / (r ** power + kernel.epsilon)
-            coeff[(r == 0.0) | (num == 0.0)] = 0.0
-            coeff *= weights[start:stop]
-            np.einsum("ic,icd->id", coeff, diff, out=total[start:stop])
+                coeff[(r == 0.0) | (num == 0.0)] = 0.0
+                coeff *= weights[start:stop]
+                np.einsum("ic,icd->id", coeff, diff, out=total[start:stop])
 
     buffers = [np.empty((min(rows, n), k, d)) for _ in range(parts)]
-    tasks = [_thread_pool().submit(contextvars.copy_context().run, accumulate, buffer)
-             for buffer in buffers[1:]]
+    tasks = [_thread_pool().submit(accumulate, buffer) for buffer in buffers[1:]]
     try:
         accumulate(buffers[0])
     finally:
@@ -212,17 +211,18 @@ def probe_exponent(
     evaluates the force each of them feels from the origin agent in one
     ``forces`` call, then fits log magnitude against log distance by
     ordinary least squares. Each magnitude is |f| of the pull's one
-    component, so it is finite whenever the force is; overflows that
-    leave no non-finite force are silenced as in ``run``.
+    component, so it is finite whenever the force is; one that is 0, as
+    where R**(q+1) overflows, raises NumericError.
     For an exact power law with epsilon = 0 the fitted slope is -q and the
     intercept ln G, to floating-point noise.
     """
-    rs = np.asarray(DEFAULT_PROBE_DISTANCES if r_values is None else r_values, dtype=float)
+    rs = as_numeric(DEFAULT_PROBE_DISTANCES if r_values is None else r_values, "r_values",
+                    vector=True)
     if not np.all(np.isfinite(rs)) or np.any(rs <= 0.0):
         raise ConfigError("all probe distances must be finite and > 0")
     if rs.ndim != 1 or rs.size < 2 or not rs.min() < rs.max():
         raise ConfigError("r_values needs at least two distinct entries")
-    g = float(g)
+    g = as_numeric(g, "G")
     if not math.isfinite(g) or g <= 0.0:
         raise ConfigError(f"G must be finite and > 0, got {g}")
 
@@ -231,11 +231,10 @@ def probe_exponent(
     n = rs.size + 1
     positions = np.zeros((n, 1))
     positions[1:, 0] = rs
-    with np.errstate(over="ignore"):
-        pulls = forces(positions, np.ones(n), g, kernel, np.array([0]), np.ones((n, 1)))
+    pulls = forces(positions, np.ones(n), g, kernel, np.array([0]), np.ones((n, 1)))
     magnitudes = np.abs(pulls[1:, 0])
     if np.any(magnitudes == 0.0):
-        raise ConfigError("zero force magnitude encountered during probe")
+        raise NumericError("zero force magnitude encountered during probe")
 
     log_r = np.log(rs)
     log_m = np.log(magnitudes)

@@ -14,6 +14,7 @@ on row i alone, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,10 +73,12 @@ class ObjectiveSpec:
                 f"unknown objective '{self.name}'; valid names: "
                 + ", ".join(objective_names())
             )
+        # the objective names its own least dims
+        dims = as_count(self.dims, "dims", -math.inf)
         fewest = _REGISTRY[self.name][2]
-        if self.dims < fewest:
+        if dims < fewest:
             raise ConfigError(f"objective '{self.name}' needs dims >= {fewest}, got {self.dims}")
-        object.__setattr__(self, "dims", as_count(self.dims, "dims", fewest))
+        object.__setattr__(self, "dims", dims)
 
     @property
     def function(self) -> Callable[[np.ndarray], np.ndarray]:

@@ -372,23 +372,22 @@ def test_criterion_11_original_acceleration_within_g(unit_draws):
     objective = make_objective("sphere", 30).function
     state = replace(initialize(config, objective), rng=unit_draws)
     largest, unchecked_steps, violations = 0.0, 0, []
-    with np.errstate(over="ignore"):
-        for t in range(config.max_iters):
-            g = g_schedule(config.g0, config.alpha, t, config.max_iters)
-            moved = step(state, config, objective)
-            inside = np.all((config.lower_bound < moved.positions)
-                            & (moved.positions < config.upper_bound), axis=1)
-            before, after = state.velocities[inside], moved.velocities[inside]
-            accel = np.linalg.norm(after - before, axis=1)
-            # the subtraction rounds at the scale of the velocities
-            slack = 1e-14 * (np.linalg.norm(before, axis=1) + np.linalg.norm(after, axis=1))
-            if accel.size == 0:
-                unchecked_steps += 1
-            else:
-                largest = max(largest, float(np.max(accel / g)))
-                if np.any(accel > g * (1.0 + 1e-12) + slack):
-                    violations.append(t)
-            state = moved
+    for t in range(config.max_iters):
+        g = g_schedule(config.g0, config.alpha, t, config.max_iters)
+        moved = step(state, config, objective)
+        inside = np.all((config.lower_bound < moved.positions)
+                        & (moved.positions < config.upper_bound), axis=1)
+        before, after = state.velocities[inside], moved.velocities[inside]
+        accel = np.linalg.norm(after - before, axis=1)
+        # the subtraction rounds at the scale of the velocities
+        slack = 1e-14 * (np.linalg.norm(before, axis=1) + np.linalg.norm(after, axis=1))
+        if accel.size == 0:
+            unchecked_steps += 1
+        else:
+            largest = max(largest, float(np.max(accel / g)))
+            if np.any(accel > g * (1.0 + 1e-12) + slack):
+                violations.append(t)
+        state = moved
     _report(
         "criterion 11 (bound): original-kernel |a_i| <= G(t) for every unclipped agent "
         "at every step of a 50 x 30 sphere run",
@@ -495,12 +494,11 @@ def test_criterion_13_radius_follows_schedule(q):
         config = _schedule_config(q, 20.0, seed)
         state = initialize(config, sphere_5d)
         radius = []
-        with np.errstate(over="ignore"):
-            while state.iteration < times[-1]:
-                state = step(state, config, sphere_5d)
-                if state.iteration in times:
-                    centre = np.median(state.positions, axis=0)
-                    radius.append(np.median(np.linalg.norm(state.positions - centre, axis=1)))
+        while state.iteration < times[-1]:
+            state = step(state, config, sphere_5d)
+            if state.iteration in times:
+                centre = np.median(state.positions, axis=0)
+                radius.append(np.median(np.linalg.norm(state.positions - centre, axis=1)))
         radii.append(radius)
     medians = np.median(radii, axis=0)
     g = [g_schedule(config.g0, 20.0, t, 300) for t in times]

@@ -125,6 +125,14 @@ class TestParsing:
         assert done.stderr.startswith("gravopt: error: unknown kernel 'nope'")
         assert done.stderr.count("\n") == 1
 
+    def test_import_loads_no_thread_module(self):
+        # the force threads' module loads at the first split forces call
+        env = dict(os.environ, PYTHONPATH=str(Path(gravopt.__file__).parents[1]))
+        check = "import sys, gravopt.cli; print('concurrent.futures.thread' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(
         "argv, message",
@@ -371,8 +379,8 @@ class TestProbeCommand:
         (["--g0", "1e300", "--kernel", "square"], 3,
          "gravopt: numeric failure: force overflow; increase epsilon\n"),
         (["--g0", "1e300"], 0, ""),
-        (["--kernel", "power:400"], 2,
-         "gravopt: error: zero force magnitude encountered during probe\n"),
+        (["--kernel", "power:400"], 3,
+         "gravopt: numeric failure: zero force magnitude encountered during probe\n"),
     ])
     def test_overflow_prints_no_warning(self, argv, code, err, capsys):
         # the self-pair's masked coefficient overflows at G = 1e300, and

@@ -66,12 +66,12 @@ class TestKernelSpec:
         spec = KernelSpec(q, eps)
         assert KernelSpec.named(spec.name, spec.epsilon) == spec
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12, None])
     def test_bad_epsilon_rejected(self, bad):
         with pytest.raises(ConfigError, match="epsilon must be"):
             KernelSpec(0.0, epsilon=bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, "abc"])
     def test_bad_exponent_rejected(self, bad):
         with pytest.raises(ConfigError, match="exponent must be"):
             KernelSpec(bad)
@@ -112,6 +112,9 @@ class TestValidateConfig:
             (dict(kernel="original"), "kernel must be a KernelSpec"),
             # the first step's (n, n) weights would exceed what numpy can address
             (dict(population=2**31), r"population \* max\(population, dims\) <= "),
+            (dict(g0="abc"), "g0 must be numeric, got 'abc'"),
+            (dict(g0=None), "g0 must be numeric, got None"),
+            (dict(lower_bound=["a", "b"]), r"lower_bound must be numeric, got \['a', 'b'\]"),
         ],
     )
     def test_each_invariant_named(self, overrides, fragment):
@@ -119,9 +122,11 @@ class TestValidateConfig:
             minimal_config(**overrides)
 
     @pytest.mark.parametrize("name, value", [("population", 5.9), ("dims", 1.5),
-                                             ("max_iters", 3.7), ("seed", 1.5)])
+                                             ("max_iters", 3.7), ("seed", 1.5),
+                                             ("population", math.nan), ("population", math.inf),
+                                             ("population", None)])
     def test_non_integral_count_rejected(self, name, value):
-        # int() would truncate 5.9 agents to 5
+        # int() would truncate 5.9 agents to 5, and fail on the last three
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value}"):
             minimal_config(**{name: value})
 

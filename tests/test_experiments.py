@@ -112,6 +112,8 @@ class TestPlan:
         # int() would truncate 2.5 repetitions to 2
         with pytest.raises(ConfigError, match="repetitions must be an integer, got 2.5"):
             small_plan(repetitions=2.5)
+        with pytest.raises(ConfigError, match="repetitions must be an integer, got inf"):
+            small_plan(repetitions=math.inf)
         assert small_plan(repetitions=2.0).repetitions == 2
 
     def test_cell_config_uses_objective_box_and_derived_seed(self):

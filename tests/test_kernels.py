@@ -149,6 +149,15 @@ class TestProbeExponent:
         with pytest.raises(ConfigError, match="r_values needs at least two distinct entries"):
             probe_exponent(KernelSpec(0.0, 0.0), 1.0, [2.0, 2.0])
 
+    @pytest.mark.parametrize("g, r_values, message", [
+        ("abc", None, "G must be numeric, got 'abc'"),
+        (1.0, {"r": 1.0}, r"r_values must be numeric, got \{'r': 1.0\}"),
+        (1.0, ["a", "b"], r"r_values must be numeric, got \['a', 'b'\]"),
+    ])
+    def test_non_numeric_input_rejected(self, g, r_values, message):
+        with pytest.raises(ConfigError, match=message):
+            probe_exponent(KernelSpec(0.0, 0.0), g, r_values)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("q", [0.0, 1.0, 2.0, 1.5])
@@ -285,17 +294,26 @@ class TestForces:
         assert len(submitted) == 4 * (cores - 1)
 
     def test_failed_split_call_leaves_no_task_running(self, monkeypatch):
-        # The caller's first block overflows while the worker's task is
-        # still held back; forces must wait for that task, which then
-        # takes the blocks the caller left, before it raises.
+        # The caller's first block fails while the worker's task is still
+        # held back; forces must wait for that task, which then takes the
+        # blocks the caller left, before it raises.
         submitted = count_thread_parts(monkeypatch, 2, worker_delay=0.05)
         monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", 1)
+        caller = threading.get_ident()
+        copyto = np.copyto
+
+        def copyto_failing_on_caller(*args, **kwargs):
+            if threading.get_ident() == caller:
+                raise MemoryError("caller's block")
+            return copyto(*args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "copyto", copyto_failing_on_caller)
         positions = np.zeros((40, 2))
-        positions[1:, 0] = np.arange(1.0, 40.0)
-        positions[0] = 1e150
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        positions[:, 0] = np.arange(40.0)
+        with pytest.raises(MemoryError, match="caller's block"):
             forces(positions, np.ones(40), 1.0, KernelSpec(2.0), np.array([1]),
                    np.ones((40, 1)))
+        monkeypatch.setattr(kernels.np, "copyto", copyto)
         assert len(submitted) == 1 and all(task.done() for task in submitted)
         swarm = coincident_member_swarm(3)
         split = forces(swarm[0], swarm[1], 3.0, KernelSpec(2.0), *swarm[2:])
@@ -388,18 +406,21 @@ class TestForces:
             assert child.submit(split_in_fresh_child).result(timeout=60) == (False, 2)
 
     @pytest.mark.parametrize("cores, chunk", [(1, kernels.CHUNK_ELEMENTS), (2, 1)])
-    def test_caller_errstate_applies_in_every_part(self, monkeypatch, cores, chunk):
-        # Only the last row has R**3 beyond the float range. When split,
-        # the pool's thread takes every block before the caller takes any,
-        # so it is that thread that must raise under the caller's errstate.
+    def test_caller_errstate_changes_nothing(self, monkeypatch, cores, chunk):
+        # The self-pair divides 0 by 0 and only the last row has R**3
+        # beyond the float range, so its force is 0. When split, the
+        # pool's thread takes every block before the caller takes any.
+        # No errstate of the caller's makes a part warn or raise.
         submitted = count_thread_parts(monkeypatch, cores, worker_first=True)
         monkeypatch.setattr(kernels, "CHUNK_ELEMENTS", chunk)
         positions = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [1e150, 1e150]])
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            forces(positions, np.ones(4), 1.0, KernelSpec(2.0), np.array([0]),
-                   np.ones((4, 1)))
-        assert len(submitted) == cores - 1
-        assert all(isinstance(task.exception(), FloatingPointError) for task in submitted)
+        swarm = (positions, np.ones(4), 1.0, KernelSpec(2.0, 0.0), np.array([0]), np.ones((4, 1)))
+        default = forces(*swarm)
+        with np.errstate(all="raise"):
+            raising = forces(*swarm)
+        assert np.array_equal(raising, default) and np.all(np.isfinite(default))
+        assert np.all(default[[0, 3]] == 0.0) and np.all(default[1:3] != 0.0)
+        assert len(submitted) == 2 * (cores - 1)
 
 
 class TestUsableCores:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,10 +100,14 @@ class TestSpecAndEvaluate:
             make_objective("griewank", 2)
 
     def test_bad_spec_construction(self):
-        # int() would truncate 2.5 dims to 2
+        # int() would truncate 2.5 dims to 2; the last three do not compare
+        # with an int, or int() fails on them
         for name, dims, message in (("nope", 2, "unknown objective 'nope'"),
                                     ("sphere", 0, "'sphere' needs dims >= 1, got 0"),
-                                    ("sphere", 2.5, "dims must be an integer, got 2.5")):
+                                    ("sphere", 2.5, "dims must be an integer, got 2.5"),
+                                    ("sphere", math.nan, "dims must be an integer, got nan"),
+                                    ("sphere", "3", "dims must be an integer, got '3'"),
+                                    ("sphere", None, "dims must be an integer, got None")):
             for make in (ObjectiveSpec, make_objective):
                 with pytest.raises(ConfigError, match=message):
                     make(name, dims)
