@@ -18,6 +18,7 @@ CSV formats (UTF-8, comma-separated, '.' decimal separator):
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -56,6 +57,20 @@ def derive_seed(base_seed: int, kernel_name: str, objective_name: str, repetitio
     return (int(base_seed) ^ fnv1a64(key)) & _MASK64
 
 
+def _members(values, name: str, kind: type) -> tuple:
+    """``values`` as a non-empty tuple of ``kind``, or ConfigError."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConfigError(f"{name}s must be a sequence, got {values!r}") from None
+    if not values:
+        raise ConfigError(f"plan needs at least one {name}")
+    for value in values:
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name}s must hold {kind.__name__}s, got {value!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """A grid of runs: kernels x objectives x repetitions."""
@@ -66,13 +81,11 @@ class ExperimentPlan:
     repetitions: int
 
     def __post_init__(self):
-        object.__setattr__(self, "kernels", tuple(self.kernels))
-        object.__setattr__(self, "objectives", tuple(self.objectives))
+        if not isinstance(self.base_config, GsaConfig):
+            raise ConfigError(f"base_config must be a GsaConfig, got {self.base_config!r}")
+        object.__setattr__(self, "kernels", _members(self.kernels, "kernel", KernelSpec))
+        object.__setattr__(self, "objectives", _members(self.objectives, "objective", ObjectiveSpec))
         object.__setattr__(self, "repetitions", as_count(self.repetitions, "repetitions", 1))
-        if not self.kernels:
-            raise ConfigError("plan needs at least one kernel")
-        if not self.objectives:
-            raise ConfigError("plan needs at least one objective")
 
 
 @dataclass(frozen=True)
@@ -133,8 +146,9 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     cell, each worker splitting its force calls over its share of the
     usable cores; jobs = 0 means one worker per usable core. Row order
     and content (apart from wall_seconds) are identical to the serial
-    mode. A negative jobs raises ConfigError.
+    mode. A negative or non-integral jobs raises ConfigError.
     """
+    jobs = as_count(jobs, "jobs", -math.inf)
     if jobs < 0:
         raise ConfigError(f"--jobs must be >= 0 (0 = one per usable core), got {jobs}")
     cells = [

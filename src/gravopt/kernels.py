@@ -134,11 +134,12 @@ def forces(
     Row i is the sum over c of weights[i, c] times the kernel force on
     agent i from agent kbest[c], taken in the order of ``kbest``.
     ``positions`` is (n, d), ``masses`` (n,), ``kbest`` (k,) agent
-    indices and ``weights`` (n, k). Self-pairs, coincident agents and
-    zero-mass pairs exert no force on each other; the pairwise terms are
-    exactly antisymmetric and always point from i toward j. The rows run
-    in row blocks and parts as the module docstring describes, with
-    bit-identical results, and warn of no floating-point error; a
+    indices and ``weights`` (n, k). Self-pairs and coincident agents exert
+    no force; a zero-mass pair exerts none where R**(q+1) + epsilon > 0,
+    and raises NumericError, as any pair does, where it underflows to 0.
+    Pairwise terms are exactly antisymmetric and point from i toward j.
+    The rows run in row blocks and parts as the module docstring describes,
+    with bit-identical results, and warn of no floating-point error; a
     non-finite total raises NumericError. Callers validate their inputs.
     """
     sources = positions[kbest]
@@ -172,10 +173,10 @@ def forces(
                 np.sqrt(r, out=r)
                 # Grouping the mass product makes it exactly symmetric, so
                 # pairwise forces are exactly antisymmetric.
-                num = masses[start:stop, None] * source_masses
-                num *= g
-                coeff = num / (r ** power + kernel.epsilon)
-                coeff[(r == 0.0) | (num == 0.0)] = 0.0
+                coeff = masses[start:stop, None] * source_masses
+                coeff *= g
+                coeff /= r ** power + kernel.epsilon
+                coeff[r == 0.0] = 0.0
                 coeff *= weights[start:stop]
                 np.einsum("ic,icd->id", coeff, diff, out=total[start:stop])
 

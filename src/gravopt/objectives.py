@@ -68,7 +68,7 @@ class ObjectiveSpec:
     dims: int
 
     def __post_init__(self):
-        if self.name not in _REGISTRY:
+        if not isinstance(self.name, str) or self.name not in _REGISTRY:
             raise ConfigError(
                 f"unknown objective '{self.name}'; valid names: "
                 + ", ".join(objective_names())

@@ -116,6 +116,16 @@ class TestPlan:
             small_plan(repetitions=math.inf)
         assert small_plan(repetitions=2.0).repetitions == 2
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("base_config", "x", "base_config must be a GsaConfig, got 'x'"),
+        ("kernels", ("x",), "kernels must hold KernelSpecs, got 'x'"),
+        ("kernels", 5, "kernels must be a sequence, got 5"),
+        ("objectives", ("sphere",), "objectives must hold ObjectiveSpecs, got 'sphere'"),
+    ], ids=["base_config", "kernel", "kernels", "objective"])
+    def test_rejects_wrong_types(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            replace(small_plan(), **{field: value})
+
     def test_cell_config_uses_objective_box_and_derived_seed(self):
         plan = small_plan()
         kernel = plan.kernels[1]
@@ -181,6 +191,11 @@ class TestRunGrid:
         with pytest.raises(ConfigError,
                            match=r"--jobs must be >= 0 \(0 = one per usable core\), got -1"):
             run_grid(small_plan(), jobs=-1)
+
+    @pytest.mark.parametrize("jobs", [1.5, "2", None])
+    def test_non_integral_jobs_rejected(self, jobs):
+        with pytest.raises(ConfigError, match=f"jobs must be an integer, got {jobs!r}"):
+            run_grid(small_plan(), jobs=jobs)
 
     def test_pool_workers_split_forces_over_their_share_of_cores(self, monkeypatch):
         # the pool forks after the patches, so its workers see them too

@@ -100,9 +100,11 @@ class TestSpecAndEvaluate:
             make_objective("griewank", 2)
 
     def test_bad_spec_construction(self):
+        # a list name is not hashable, so the registry cannot look it up;
         # int() would truncate 2.5 dims to 2; the last three do not compare
         # with an int, or int() fails on them
         for name, dims, message in (("nope", 2, "unknown objective 'nope'"),
+                                    (["a"], 2, "unknown objective"),
                                     ("sphere", 0, "'sphere' needs dims >= 1, got 0"),
                                     ("sphere", 2.5, "dims must be an integer, got 2.5"),
                                     ("sphere", math.nan, "dims must be an integer, got nan"),
