@@ -1,8 +1,8 @@
-"""Gravitational-search optimization with pluggable pairwise force kernels.
+"""Gravitational-search optimization with three pairwise force laws.
 
 The force law between two agents is selectable: the classic GSA rule
-(whose magnitude does not depend on inter-agent distance), the corrected
-inverse-linear and inverse-square laws, or any nonnegative power law.
+(whose magnitude does not depend on inter-agent distance) or the
+corrected inverse-linear and inverse-square laws.
 ``forces`` evaluates it for a whole swarm; ``probe_exponent`` measures a kernel's effective distance exponent
 empirically; the experiments module runs seeded comparison grids.
 """

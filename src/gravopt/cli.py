@@ -5,7 +5,7 @@ given with --config, then explicit flags. ``SETTINGS`` declares each
 setting once: its flag (which stores under the setting's key, so --pop
 sets "population"), default, help and the commands that read it. A
 config file's keys are exactly the settings keys, so "kernel" is a name
-such as "square" or "power:1.5" and "epsilon" a number beside it. A run
+such as "square" and "epsilon" a number beside it. A run
 reads every GsaConfig field, plus "function"; it always runs the
 published search, with every weight and coefficient drawn. A config
 key the command does not read is rejected, and so is a value whose

@@ -24,10 +24,9 @@ _UINT64_MAX = 2**64 - 1
 #: The most float64 values one numpy array can address; counts above fail.
 MAX_VALUES = np.iinfo(np.intp).max // 8
 
-#: The force laws with a name of their own, by distance exponent q; any
-#: other q >= 0 is named "power:<q>".
+#: The three force laws, by distance exponent q; no other q is a kernel.
 KERNEL_NAMES = {"original": 0.0, "linear": 1.0, "square": 2.0}
-KERNEL_CHOICES = ", ".join(KERNEL_NAMES) + ", power:<q>"
+KERNEL_CHOICES = ", ".join(KERNEL_NAMES)
 
 
 class ConfigError(ValueError):
@@ -66,10 +65,10 @@ def _finite_scalar(value, name: str) -> float:
 
 
 def as_count(value, name: str, least: float, most: int = MAX_VALUES) -> int:
-    """``value`` as an int in [least, most]; a fractional, non-finite or
-    non-numeric one is refused, never truncated."""
+    """``value`` as an int in [least, most]; a boolean, fractional,
+    non-finite or non-numeric one is refused, never truncated."""
     try:
-        integral = int(value) == value
+        integral = not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
@@ -89,19 +88,19 @@ class KernelSpec:
     epsilon = 0 the magnitude is G*m_i*m_j / R**q. The per-component rule
     divides by R**(q+1) + epsilon, so q = 0 reproduces the classic GSA
     rule G*m_i*m_j / (R + epsilon) * (x_j - x_i) bit for bit, while q = 1
-    and q = 2 give the inverse-linear and inverse-square laws, the three
-    exponents ``KERNEL_NAMES`` names; ``named`` and ``name`` convert
-    between a kernel and its name.
+    and q = 2 give the inverse-linear and inverse-square laws. These are
+    the only exponents, the three ``KERNEL_NAMES`` names; ``named`` and
+    ``name`` convert between a kernel and its name.
     """
 
     exponent: float
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        exponent = _finite_scalar(self.exponent, "exponent")
+        exponent = as_numeric(self.exponent, "exponent")
         epsilon = _finite_scalar(self.epsilon, "epsilon")
-        if exponent < 0.0:
-            raise ConfigError(f"exponent must be >= 0, got {exponent}")
+        if exponent not in KERNEL_NAMES.values():
+            raise ConfigError(f"exponent must be 0, 1 or 2 ({KERNEL_CHOICES}), got {exponent}")
         if epsilon < 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
         object.__setattr__(self, "exponent", exponent)
@@ -109,29 +108,16 @@ class KernelSpec:
 
     @classmethod
     def named(cls, text: str, epsilon: float) -> "KernelSpec":
-        """Kernel from its name: original | linear | square | power:<q>."""
+        """Kernel from its name: original | linear | square."""
         token = str(text).strip().lower()
-        if token in KERNEL_NAMES:
-            return cls(KERNEL_NAMES[token], epsilon)
-        if token.startswith("power:"):
-            try:
-                exponent = float(token.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(
-                    f"bad power-law exponent in '{text}'; valid kernels: {KERNEL_CHOICES}"
-                ) from None
-            return cls(exponent, epsilon)
-        raise ConfigError(f"unknown kernel '{text}'; valid kernels: {KERNEL_CHOICES}")
+        if token not in KERNEL_NAMES:
+            raise ConfigError(f"unknown kernel '{text}'; valid kernels: {KERNEL_CHOICES}")
+        return cls(KERNEL_NAMES[token], epsilon)
 
     @property
     def name(self) -> str:
-        """Canonical name used by the CLI and in CSV output; ``named``
-        parses it back to this exponent exactly."""
-        for name, exponent in KERNEL_NAMES.items():
-            if self.exponent == exponent:
-                return name
-        short = f"{self.exponent:g}"
-        return f"power:{short if float(short) == self.exponent else repr(self.exponent)}"
+        """Name used by the CLI and in CSV output; ``named`` parses it back."""
+        return next(name for name, q in KERNEL_NAMES.items() if q == self.exponent)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """The force law, evaluated for a whole swarm, and the log-log exponent probe.
 
-Every kernel in the family computes the force exerted on agent i by
+Each of the three kernels computes the force exerted on agent i by
 agent j, per dimension d, as
 
     f_d = G * m_i * m_j / (R**(q+1) + epsilon) * (x_j_d - x_i_d)
 
-where R is the Euclidean distance between the agents and q >= 0 is the
-kernel exponent. With epsilon = 0 the force magnitude reduces to
-G * m_i * m_j / R**q:
+where R is the Euclidean distance between the agents and q is the
+kernel exponent, 0, 1 or 2. With epsilon = 0 the force magnitude reduces
+to G * m_i * m_j / R**q:
 
 * q = 0 (``original``): the classic GSA rule. The R in the denominator
   cancels the length of the un-normalized difference vector, so the
@@ -213,7 +213,7 @@ def probe_exponent(
     ``forces`` call, then fits log magnitude against log distance by
     ordinary least squares. Each magnitude is |f| of the pull's one
     component, so it is finite whenever the force is; one that is 0, as
-    where R**(q+1) overflows, raises NumericError.
+    where G / R**q underflows, raises NumericError.
     For an exact power law with epsilon = 0 the fitted slope is -q and the
     intercept ln G, to floating-point noise.
     """

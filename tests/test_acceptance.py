@@ -25,6 +25,7 @@ from gravopt import (
     run_grid,
 )
 from gravopt.cli import main as cli_main
+from gravopt.core import KERNEL_NAMES
 from gravopt.engine import SwarmState, compute_masses, g_schedule, initialize, run, step
 from gravopt.experiments import cell_config
 from gravopt.objectives import sphere
@@ -122,12 +123,7 @@ def test_criterion_3_distance_free_magnitude_closed_form():
 
 
 def test_criterion_4_antisymmetry_and_attraction():
-    kernels = [
-        KernelSpec(0.0, 0.0),
-        KernelSpec(1.0, 0.0),
-        KernelSpec(2.0, 0.0),
-        KernelSpec(1.5, 0.0),
-    ]
+    kernels = [KernelSpec(q, 0.0) for q in KERNEL_NAMES.values()]
     antisymmetric = True
     attractive = True
     for x_i, x_j, m_i, m_j, g in _random_cases():
@@ -330,7 +326,7 @@ def test_criterion_10_run_scaling_law(unit_run):
         return (unit_run if deterministic else run)(config, objective.function)
 
     failures, runs = [], 0
-    cases = itertools.product((0.0, 1.0, 2.0, 1.5), (0.0, 1e-12), (False, True))
+    cases = itertools.product(KERNEL_NAMES.values(), (0.0, 1e-12), (False, True))
     for seed, case in enumerate(cases, start=1):
         case = (*case, seed)
         base = scaled_run(*case, 1.0)

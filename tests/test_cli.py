@@ -44,7 +44,7 @@ SMALL_SIZES = {"population": 4, "dims": 2, "max_iters": 2, "repetitions": 1}
 
 # A value other than the default for each setting that has a flag.
 OTHER_VALUES = {
-    "kernel": "power:1.5",
+    "kernel": "square",
     "epsilon": 1e-3,
     "g0": 50.0,
     "alpha": 10.0,
@@ -99,10 +99,13 @@ class TestParsing:
         assert "kernel=original" in text  # default kernel applied
         assert "g0=100.0" in text
 
-    def test_unknown_kernel_rejected(self, capsys):
-        assert cli.main(["run", "--kernel", "cubic"]) == 2
-        err = capsys.readouterr().err
-        assert "original" in err and "square" in err and "power:<q>" in err
+    def test_unknown_kernel_rejected(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"kernel": "power:1.5"}))
+        for argv in (["--kernel", "cubic"], ["--kernel", "power:1.5"], ["--config", str(config)]):
+            assert cli.main(["run", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.endswith("; valid kernels: original, linear, square\n")
 
     def test_unknown_flag_rejected(self):
         assert cli.main(["run", "--frobnicate", "1"]) == 2
@@ -196,10 +199,10 @@ class TestConfigFile:
 
     def test_kernel_and_epsilon_in_config(self, tmp_path):
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({"kernel": "power:1.5", "epsilon": 0.0}))
+        config.write_text(json.dumps({"kernel": "square", "epsilon": 0.0}))
         out = tmp_path / "p.csv"
         assert cli.main(["probe", "--config", str(config), "--out", str(out)]) == 0
-        assert probe_footer(out)["slope"] == pytest.approx(-1.5, abs=1e-9)
+        assert probe_footer(out)["slope"] == pytest.approx(-2.0, abs=1e-9)
 
     def test_probe_grid_override(self, tmp_path):
         config = tmp_path / "c.json"
@@ -379,12 +382,13 @@ class TestProbeCommand:
         (["--g0", "1e300", "--kernel", "square"], 3,
          "gravopt: numeric failure: force overflow; increase epsilon\n"),
         (["--g0", "1e300"], 0, ""),
-        (["--kernel", "power:400"], 3,
+        (["--kernel", "square", "--g0", "5e-324"], 3,
          "gravopt: numeric failure: zero force magnitude encountered during probe\n"),
     ])
     def test_overflow_prints_no_warning(self, argv, code, err, capsys):
         # the self-pair's masked coefficient overflows at G = 1e300, and
-        # R**401 at long range; the suite turns a RuntimeWarning into an error
+        # G / R**2 underflows at G = 5e-324; the suite turns a RuntimeWarning
+        # into an error
         assert cli.main(["probe", *argv]) == code
         assert capsys.readouterr().err == err
 

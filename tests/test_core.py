@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import gravopt
 from gravopt import ConfigError, GsaConfig, KernelSpec
+from gravopt.core import KERNEL_NAMES
 
 
 def minimal_config(**overrides):
@@ -30,17 +31,10 @@ class TestKernelSpec:
         assert KernelSpec(0.0).name == "original"
         assert KernelSpec(1.0).name == "linear"
         assert KernelSpec(2.0).name == "square"
-        assert KernelSpec(1.5).name == "power:1.5"
-        assert KernelSpec(3.0).name == "power:3"
-
-    def test_name_keeps_every_digit(self):
-        assert KernelSpec(1.2345678).name == "power:1.2345678"
-        assert KernelSpec(1.23457).name == "power:1.23457"
 
     @pytest.mark.parametrize(
         "text, exponent",
-        [("original", 0.0), ("linear", 1.0), ("square", 2.0), ("power:1.5", 1.5),
-         ("power:0", 0.0), ("power:2", 2.0), ("  Square ", 2.0), ("POWER: 2.5e0", 2.5)],
+        [("original", 0.0), ("linear", 1.0), ("square", 2.0), ("  Square ", 2.0)],
     )
     def test_named(self, text, exponent):
         assert KernelSpec.named(text, 1e-9) == KernelSpec(exponent, 1e-9)
@@ -48,22 +42,20 @@ class TestKernelSpec:
     @pytest.mark.parametrize(
         "text, message",
         [("cubic", "unknown kernel 'cubic'"), ("power", "unknown kernel 'power'"),
-         ("power:abc", "bad power-law exponent in 'power:abc'"),
-         ("power:", "bad power-law exponent in 'power:'")],
+         ("power:1.5", "unknown kernel 'power:1.5'")],
     )
     def test_bad_name_rejected(self, text, message):
         with pytest.raises(ConfigError) as raised:
             KernelSpec.named(text, 0.0)
-        assert str(raised.value) == (
-            f"{message}; valid kernels: original, linear, square, power:<q>"
-        )
+        assert str(raised.value) == f"{message}; valid kernels: original, linear, square"
 
     @given(
-        q=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        q=st.sampled_from(list(KERNEL_NAMES.values())),
         eps=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     )
     def test_name_round_trips(self, q, eps):
         spec = KernelSpec(q, eps)
+        assert (spec.exponent, spec.epsilon) == (q, eps)
         assert KernelSpec.named(spec.name, spec.epsilon) == spec
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12, None])
@@ -71,19 +63,11 @@ class TestKernelSpec:
         with pytest.raises(ConfigError, match="epsilon must be"):
             KernelSpec(0.0, epsilon=bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, "abc"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, "abc", -1.0, 1.5, 3.0])
     def test_bad_exponent_rejected(self, bad):
-        with pytest.raises(ConfigError, match="exponent must be"):
+        with pytest.raises(ConfigError, match="exponent must be") as raised:
             KernelSpec(bad)
-
-    @given(
-        q=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-        eps=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    )
-    def test_finite_nonnegative_always_accepted(self, q, eps):
-        spec = KernelSpec(q, eps)
-        assert spec.exponent == q
-        assert spec.epsilon == eps
+        assert bad == "abc" or "(original, linear, square)" in str(raised.value)
 
 
 class TestValidateConfig:
@@ -124,9 +108,11 @@ class TestValidateConfig:
     @pytest.mark.parametrize("name, value", [("population", 5.9), ("dims", 1.5),
                                              ("max_iters", 3.7), ("seed", 1.5),
                                              ("population", math.nan), ("population", math.inf),
-                                             ("population", None)])
+                                             ("population", None), ("dims", True),
+                                             ("seed", False)])
     def test_non_integral_count_rejected(self, name, value):
-        # int() would truncate 5.9 agents to 5, and fail on the last three
+        # int() would truncate 5.9 agents to 5, fail on nan, inf and None,
+        # and read True as 1
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value}"):
             minimal_config(**{name: value})
 

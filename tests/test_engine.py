@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import gravopt.engine as engine
 from gravopt import GsaConfig, KernelSpec, NumericError, forces, run
+from gravopt.core import KERNEL_NAMES
 from gravopt.engine import compute_masses, g_schedule, initialize, kbest_size, step
 from gravopt.objectives import sphere
 
@@ -291,7 +292,7 @@ class TestStep:
     @given(
         n=st.integers(2, 12),
         d=st.integers(1, 5),
-        q=st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 3.0),
+        q=st.sampled_from(list(KERNEL_NAMES.values())),
         epsilon=st.sampled_from([0.0, 1e-12]) | st.floats(1e-9, 1.0),
         deterministic=st.booleans(),
         seed=st.integers(0, 2**32 - 1),

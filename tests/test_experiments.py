@@ -114,6 +114,8 @@ class TestPlan:
             small_plan(repetitions=2.5)
         with pytest.raises(ConfigError, match="repetitions must be an integer, got inf"):
             small_plan(repetitions=math.inf)
+        with pytest.raises(ConfigError, match="repetitions must be an integer, got True"):
+            small_plan(repetitions=True)
         assert small_plan(repetitions=2.0).repetitions == 2
 
     @pytest.mark.parametrize("field,value,message", [
@@ -192,7 +194,7 @@ class TestRunGrid:
                            match=r"--jobs must be >= 0 \(0 = one per usable core\), got -1"):
             run_grid(small_plan(), jobs=-1)
 
-    @pytest.mark.parametrize("jobs", [1.5, "2", None])
+    @pytest.mark.parametrize("jobs", [1.5, "2", None, True])
     def test_non_integral_jobs_rejected(self, jobs):
         with pytest.raises(ConfigError, match=f"jobs must be an integer, got {jobs!r}"):
             run_grid(small_plan(), jobs=jobs)

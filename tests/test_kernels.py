@@ -22,15 +22,11 @@ from gravopt import (
     probe_exponent,
     run_grid,
 )
+from gravopt.core import KERNEL_NAMES
 from gravopt.engine import compute_masses, initialize
 from gravopt.objectives import sphere
 
-ALL_KERNELS_EPS0 = [
-    KernelSpec(0.0, 0.0),
-    KernelSpec(1.0, 0.0),
-    KernelSpec(2.0, 0.0),
-    KernelSpec(1.5, 0.0),
-]
+ALL_KERNELS_EPS0 = [KernelSpec(q, 0.0) for q in KERNEL_NAMES.values()]
 
 
 def coincident_member_swarm(dims):
@@ -87,13 +83,15 @@ class TestDistance:
 
 
 class TestPairwiseForce:
-    @pytest.mark.parametrize("kernel", ALL_KERNELS_EPS0 + [KernelSpec(0.0)])
+    @pytest.mark.parametrize(
+        "kernel", ALL_KERNELS_EPS0 + [KernelSpec(q) for q in KERNEL_NAMES.values()])
     def test_zero_mass_annihilates(self, kernel):
         f = pair_forces(kernel, 2.0, [0.0, 0.0], [3.0, 4.0], 0.0, 4.0)
         assert np.array_equal(f, np.zeros((2, 2)))
-        # at R = 1e-150 with epsilon 0, R**3 and R**2.5 underflow to 0: the
-        # zero-mass pair's 0 / 0 raises, as test_overflow_raises does at unit
-        # masses, while R and R**2 stay positive and give exact zeros
+        # at R = 1e-150 with epsilon 0, R**3 underflows to 0: the zero-mass
+        # pair's 0 / 0 raises, as test_overflow_raises does at unit masses,
+        # while R, R**2 and every denominator with epsilon > 0 stay positive
+        # and give exact zeros
         far = [1e-150, 0.0]
         if kernel.epsilon == 0.0 and kernel.exponent > 1.0:
             with pytest.raises(NumericError, match="increase epsilon"):
@@ -135,8 +133,8 @@ class TestPairwiseForce:
 
 
 class TestProbeExponent:
-    def test_fractional_exponent_matches_closed_form(self):
-        g, q = 3.0, 1.5
+    def test_inverse_square_matches_closed_form(self):
+        g, q = 3.0, 2.0
         rs = np.geomspace(0.1, 1e4, 12)
         report = probe_exponent(KernelSpec(q, 0.0), g, rs)
         assert report.fitted_slope == pytest.approx(-q, abs=1e-9)
@@ -167,7 +165,7 @@ class TestProbeExponent:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("q", [0.0, 1.0, 2.0, 1.5])
+    @pytest.mark.parametrize("q", KERNEL_NAMES.values())
     def test_unit_vector_form(self, q):
         # f equals [G*m_i*m_j/R**q] times the unit vector from i to j
         kernel = KernelSpec(q, 0.0)
@@ -182,7 +180,7 @@ class TestInvariants:
             f = pair_forces(kernel, g, x_i, x_j, m_i, m_j)[0]
             np.testing.assert_allclose(f, expected, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("q", KERNEL_NAMES.values())
     def test_epsilon_continuity(self, q):
         pair = ([0.1, -0.4], [1.3, 0.9], 2.0, 5.0)
         exact = pair_forces(KernelSpec(q, 0.0), 3.0, *pair)[0]
@@ -224,7 +222,7 @@ class TestForces:
     @given(
         n=st.integers(2, 8),
         dims=st.integers(1, 5),
-        q=st.floats(0.0, 3.0),
+        q=st.sampled_from(list(KERNEL_NAMES.values())),
         epsilon=st.one_of(st.just(0.0), st.just(1e-12), st.floats(1e-15, 1.0)),
         seed=st.integers(0, 2**32 - 1),
     )

@@ -109,7 +109,8 @@ class TestSpecAndEvaluate:
                                     ("sphere", 2.5, "dims must be an integer, got 2.5"),
                                     ("sphere", math.nan, "dims must be an integer, got nan"),
                                     ("sphere", "3", "dims must be an integer, got '3'"),
-                                    ("sphere", None, "dims must be an integer, got None")):
+                                    ("sphere", None, "dims must be an integer, got None"),
+                                    ("sphere", True, "dims must be an integer, got True")):
             for make in (ObjectiveSpec, make_objective):
                 with pytest.raises(ConfigError, match=message):
                     make(name, dims)
