@@ -55,8 +55,17 @@ class TestKernelSpec:
     )
     def test_name_round_trips(self, q, eps):
         spec = KernelSpec(q, eps)
-        assert (spec.exponent, spec.epsilon) == (q, eps)
         assert KernelSpec.named(spec.name, spec.epsilon) == spec
+
+    @given(
+        q=st.sampled_from(list(KERNEL_NAMES.values())),
+        eps=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    )
+    def test_finite_nonnegative_always_accepted(self, q, eps):
+        # every force law's exponent is accepted with any finite epsilon >= 0
+        spec = KernelSpec(q, eps)
+        assert spec.exponent == q
+        assert spec.epsilon == eps
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12, None])
     def test_bad_epsilon_rejected(self, bad):
